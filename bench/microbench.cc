@@ -101,13 +101,10 @@ BENCHMARK(BM_HeterogeneousAllocator)->Arg(1000)->Arg(5000)
     ->Unit(benchmark::kMillisecond);
 
 // 16 distinct group shapes (tasks x repetitions cross product) replicated
-// `copies` times each — 64 groups at copies=4, 256 at copies=16. With
-// `clone_curves=false` every group shares one curve object, so the global
-// latency cache dedupes the quadrature kernel across copies; with
-// `clone_curves=true` each group carries its own deep copy, which defeats
-// cross-group sharing and reproduces the pre-cache per-group cost.
-TuningProblem ManyGroupProblem(int copies, bool clone_curves) {
-  const std::shared_ptr<const PriceRateCurve> shared_curve = BenchCurve();
+// `copies` times each — 64 groups at copies=4, 256 at copies=16. Copies of a
+// shape reach the same on-hold rates, so the global latency cache dedupes
+// the quadrature kernel across them.
+TuningProblem ManyGroupProblem(int copies) {
   TuningProblem problem;
   long unit_cost_sum = 0;
   for (int c = 0; c < copies; ++c) {
@@ -118,10 +115,7 @@ TuningProblem ManyGroupProblem(int copies, bool clone_curves) {
         g.num_tasks = tasks;
         g.repetitions = reps;
         g.processing_rate = 2.0;
-        g.curve = clone_curves
-                      ? std::shared_ptr<const PriceRateCurve>(
-                            shared_curve->Clone())
-                      : shared_curve;
+        g.curve = BenchCurve();
         unit_cost_sum += tasks * reps;
         problem.groups.push_back(std::move(g));
       }
@@ -135,11 +129,10 @@ TuningProblem ManyGroupProblem(int copies, bool clone_curves) {
 
 // End-to-end cold solve: the cache is cleared outside the timed region, so
 // each iteration pays the full quadrature bill once per distinct
-// (shape, price) — copies of a shape share entries.
+// (shape, rate) — copies of a shape share entries.
 void BM_RepetitionAllocatorManyGroups(benchmark::State& state) {
   const TuningProblem problem =
-      ManyGroupProblem(static_cast<int>(state.range(0)),
-                       /*clone_curves=*/false);
+      ManyGroupProblem(static_cast<int>(state.range(0)));
   const RepetitionAllocator tuner;
   for (auto _ : state) {
     state.PauseTiming();
@@ -153,30 +146,9 @@ void BM_RepetitionAllocatorManyGroups(benchmark::State& state) {
 BENCHMARK(BM_RepetitionAllocatorManyGroups)->Arg(4)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
-// Same instance but with per-group cloned curves: distinct curve identities
-// keep the cache from sharing kernel results across the copies, matching
-// the pre-cache behavior where every group recomputed its own table.
-void BM_RepetitionAllocatorManyGroupsBaseline(benchmark::State& state) {
-  const TuningProblem problem =
-      ManyGroupProblem(static_cast<int>(state.range(0)),
-                       /*clone_curves=*/true);
-  const RepetitionAllocator tuner;
-  for (auto _ : state) {
-    state.PauseTiming();
-    GlobalLatencyCache().Clear();
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(tuner.SolvePrices(problem));
-  }
-  state.counters["groups"] =
-      static_cast<double>(problem.groups.size());
-}
-BENCHMARK(BM_RepetitionAllocatorManyGroupsBaseline)->Arg(4)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_HeterogeneousAllocatorManyGroups(benchmark::State& state) {
   const TuningProblem problem =
-      ManyGroupProblem(static_cast<int>(state.range(0)),
-                       /*clone_curves=*/false);
+      ManyGroupProblem(static_cast<int>(state.range(0)));
   const HeterogeneousAllocator tuner;
   for (auto _ : state) {
     state.PauseTiming();

@@ -1,5 +1,7 @@
 #include "model/latency_cache.h"
 
+#include <bit>
+
 #include "common/check.h"
 #include "obs/obs.h"
 
@@ -10,7 +12,10 @@ double LatencyKernelCache::Phase1(
     const std::shared_ptr<const PriceRateCurve>& curve, int price) {
   HTUNE_CHECK(curve != nullptr);
   HTUNE_CHECK_GE(price, 1);
-  const Key key{shape.num_tasks, shape.repetitions, curve.get(), price};
+  const double rate = curve->Rate(static_cast<double>(price));
+  HTUNE_CHECK_GT(rate, 0.0);
+  const Key key{shape.num_tasks, shape.repetitions,
+                std::bit_cast<uint64_t>(rate)};
   Shard& shard = shards_[KeyHash()(key) % kShards];
   {
     MutexLock lock(shard.mu);
@@ -21,31 +26,20 @@ double LatencyKernelCache::Phase1(
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  // Quadrature runs outside the locks; see header for the benign race.
+  // Quadrature runs outside the lock; see header for the benign race.
   // The span rides the miss path only, so the hit path stays untouched and
   // span cost is dwarfed by the quadrature it times.
   HTUNE_OBS_SPAN("cache.quadrature_eval");
-  const double value =
-      ExpectedGroupOnHoldLatency(shape, *curve, static_cast<double>(price));
-  // Pin and insert under one pin_mu_ section (lock order: pin_mu_ then
-  // shard.mu) so Clear() can never drop the pin while the entry survives;
-  // a live pin keeps the curve's address from being recycled into a
-  // colliding key.
-  MutexLock pin_lock(pin_mu_);
-  pins_.emplace(curve.get(), curve);
+  const double value = ExpectedGroupOnHoldLatencyAtRate(shape, rate);
   MutexLock lock(shard.mu);
   return shard.map.emplace(key, value).first->second;
 }
 
 void LatencyKernelCache::Clear() {
-  // pin_mu_ held across the whole wipe: the miss path's pin+insert pair
-  // also runs under pin_mu_, so Clear is atomic with respect to it.
-  MutexLock pin_lock(pin_mu_);
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mu);
     shard.map.clear();
   }
-  pins_.clear();
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
 }
@@ -59,20 +53,6 @@ LatencyCacheStats LatencyKernelCache::Stats() const {
     stats.entries += shard.map.size();
   }
   return stats;
-}
-
-size_t LatencyKernelCache::UnpinnedEntryCountForTest() const {
-  MutexLock pin_lock(pin_mu_);
-  size_t unpinned = 0;
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    // Order-independent count over the unordered shard map: the result
-    // is a scalar, so iteration order never reaches any output.
-    for (const auto& [key, value] : shard.map) {
-      if (pins_.find(key.curve) == pins_.end()) ++unpinned;
-    }
-  }
-  return unpinned;
 }
 
 void LatencyKernelCache::PublishToMetrics() const {

@@ -22,30 +22,20 @@ struct LatencyCacheStats {
 
 /// Process-wide memo cache for ExpectedGroupOnHoldLatency — the adaptive
 /// quadrature kernel every tuner inner loop reduces to. Keyed on
-/// (num_tasks, repetitions, curve identity, price); the group's
-/// processing_rate is deliberately NOT part of the key because the phase-1
-/// on-hold expectation does not depend on it, so groups that differ only in
-/// difficulty (every Fig. 5 sweep) share entries. Duplicate task groups
-/// across allocator calls, sweep points, and Monte Carlo replications dedupe
-/// their quadrature work here.
+/// (num_tasks, repetitions, bit pattern of the on-hold rate curve(price)):
+/// the phase-1 kernel depends on price only through lambda_o(price), so
+/// the key holds everything the value depends on. Groups share entries
+/// whenever their rates agree bit for bit — across curve objects parsed
+/// from the same spec, across curves that reach one rate at different
+/// prices, across jobs. The group's processing_rate is not part of the key
+/// either: phase-1 on-hold latency does not depend on it, so groups that
+/// differ only in difficulty (every Fig. 5 sweep) share entries. The cache
+/// grows with the number of distinct keys, not with the jobs served.
 ///
-/// Thread safety: sharded mutexes; safe for concurrent GetOrCompute from
-/// pool workers. Misses compute outside the shard lock, so a racing pair may
+/// Thread safety: sharded mutexes; safe for concurrent Phase1 from pool
+/// workers. Misses compute outside the shard lock, so a racing pair may
 /// both evaluate the kernel — the integrand is a pure deterministic function
 /// of the key, so both arrive at the same bits and either insert wins.
-///
-/// Curve identity is the curve object's address. To make that sound, the
-/// cache pins a shared_ptr to every curve it has entries for: a pinned curve
-/// can never be destroyed, so its address can never be recycled into a
-/// colliding key by a later allocation. Clear() drops entries and pins.
-///
-/// Lock order: pin_mu_ before any shard mutex, never the reverse. The
-/// miss path inserts the pin and the entry under one pin_mu_ critical
-/// section so the pair is atomic against Clear() — otherwise Clear()
-/// could land between them and drop the pin while the entry survives,
-/// leaving a key whose curve address may be recycled (see
-/// LatencyCachePinClearRace regression test). The hit path takes only
-/// the shard mutex.
 class LatencyKernelCache {
  public:
   /// Cached E[max over num_tasks of Erlang(repetitions, curve(price))].
@@ -54,7 +44,7 @@ class LatencyKernelCache {
                 const std::shared_ptr<const PriceRateCurve>& curve,
                 int price);
 
-  /// Drops every entry, pin, and counter.
+  /// Drops every entry and counter.
   void Clear();
 
   LatencyCacheStats Stats() const;
@@ -64,21 +54,16 @@ class LatencyKernelCache {
   /// on the hit path, which keeps the hot lookup untouched.
   void PublishToMetrics() const;
 
-  /// Entries whose curve has no pin — always 0 when the pin/insert pair
-  /// is atomic against Clear(). Test-only invariant probe.
-  size_t UnpinnedEntryCountForTest() const;
-
  private:
   struct Key {
     int num_tasks;
     int repetitions;
-    const PriceRateCurve* curve;
-    int price;
+    uint64_t rate_bits;
 
     bool operator==(const Key& other) const {
       return num_tasks == other.num_tasks &&
-             repetitions == other.repetitions && curve == other.curve &&
-             price == other.price;
+             repetitions == other.repetitions &&
+             rate_bits == other.rate_bits;
     }
   };
 
@@ -88,10 +73,7 @@ class LatencyKernelCache {
       uint64_t h = static_cast<uint64_t>(key.num_tasks) * 0x9e3779b97f4a7c15ULL;
       h ^= static_cast<uint64_t>(key.repetitions) + 0x9e3779b97f4a7c15ULL +
            (h << 6) + (h >> 2);
-      h ^= reinterpret_cast<uintptr_t>(key.curve) + 0x9e3779b97f4a7c15ULL +
-           (h << 6) + (h >> 2);
-      h ^= static_cast<uint64_t>(key.price) + 0x9e3779b97f4a7c15ULL +
-           (h << 6) + (h >> 2);
+      h ^= key.rate_bits + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
       h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
       h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
       return static_cast<size_t>(h ^ (h >> 31));
@@ -106,10 +88,6 @@ class LatencyKernelCache {
   };
 
   mutable std::array<Shard, kShards> shards_;
-  mutable Mutex pin_mu_;
-  std::unordered_map<const PriceRateCurve*,
-                     std::shared_ptr<const PriceRateCurve>>
-      pins_ HTUNE_GUARDED_BY(pin_mu_);
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
 };

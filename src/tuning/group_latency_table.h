@@ -11,8 +11,9 @@ namespace htune {
 /// per-repetition pricing. The DP/greedy tuners evaluate E_i(p) for many
 /// prices, and each evaluation integrates an order-statistic tail — caching
 /// turns the optimizers' inner loops into table lookups. Values come from
-/// the process-wide LatencyKernelCache, so identical (shape, curve) groups
-/// share quadrature work across tables, allocator calls, and threads.
+/// the process-wide LatencyKernelCache, so groups with the same shape and
+/// on-hold rate curve(price) share quadrature work across tables, allocator
+/// calls, jobs, and threads, whichever curve object carries the rate.
 ///
 /// Thread safety: lazy Phase1 growth is NOT thread-safe; concurrent access
 /// is only valid through Prewarm/PrewarmTables (which fan disjoint slots out

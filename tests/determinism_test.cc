@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "common/parallel.h"
 #include "model/latency_cache.h"
 #include "obs/metrics.h"
+#include "spec/job_spec.h"
 #include "tuning/deadline_allocator.h"
 #include "tuning/evaluator.h"
 #include "tuning/heterogeneous_allocator.h"
@@ -151,6 +153,37 @@ TEST(DeterminismTest, ParallelMonteCarloAcrossPools) {
   ExpectSameAcrossPools<double>([&] {
     return ParallelMonteCarloPhase1Latency(problem, *alloc, 500, 99);
   });
+}
+
+// The kernel cache keys on the on-hold rate, not the curve object, so a
+// problem whose groups each carry their own parsed copy of the curve must
+// tune bitwise like the one whose groups share a single curve object.
+TEST(DeterminismTest, SharedAndPerGroupCurveObjectsTuneIdentically) {
+  const TuningProblem shared = SmallProblem(800);
+  TuningProblem copies = shared;
+  for (TaskGroup& g : copies.groups) {
+    const auto curve = ParseCurveSpec("linear 1.0 1.0");
+    ASSERT_TRUE(curve.ok());
+    g.curve = *curve;
+  }
+  ASSERT_NE(copies.groups[0].curve.get(), copies.groups[1].curve.get());
+
+  const RepetitionAllocator ra;
+  const HeterogeneousAllocator ha;
+  const auto solve = [&](const TuningProblem& problem) {
+    GlobalLatencyCache().Clear();
+    const auto ra_prices = ra.SolvePrices(problem);
+    const auto ha_prices = ha.SolvePrices(problem);
+    EXPECT_TRUE(ra_prices.ok());
+    EXPECT_TRUE(ha_prices.ok());
+    const ObjectivePoint op =
+        HeterogeneousAllocator::Objectives(problem, *ha_prices);
+    return std::make_tuple(
+        *ra_prices,
+        Phase1GroupSum(problem, UniformAllocation(problem, *ra_prices)),
+        *ha_prices, op.o1, op.o2);
+  };
+  EXPECT_EQ(solve(copies), solve(shared));
 }
 
 // The observability layer makes the same promise as the allocators: metric

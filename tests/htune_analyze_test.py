@@ -138,17 +138,29 @@ class RealTreeMutationTest(unittest.TestCase):
                 for m in messages), 4, messages)
 
     def test_reversed_real_lock_pair_fails(self):
+        # ThreadPool's two real locks, the pool queue's impl_->mu and the
+        # per-region region->mu, are never nested today; nest them both
+        # ways.
         model = analyze.build_model(REPO_ROOT, None, None, False)
-        model.add_function(FunctionDef(
-            qname="LatencyKernelCache::Backwards",
-            params="",
-            body="{ MutexLock lock(shard.mu); MutexLock pin(pin_mu_); }",
-            file="src/model/latency_cache.cc", line=1,
-            body_start_line=1))
-        findings = lock_check.run(model, self.lock_order)
+        bodies = [fn.body for fns in model.functions.values() for fn in fns
+                  if fn.qname.startswith("ThreadPool::")]
+        for expr in ("impl_->mu", "region->mu"):
+            self.assertTrue(
+                any(f"MutexLock lock({expr})" in body for body in bodies),
+                expr)
+        for name, outer, inner in (("Forwards", "impl_->mu", "region->mu"),
+                                   ("Backwards", "region->mu", "impl_->mu")):
+            model.add_function(FunctionDef(
+                qname=f"ThreadPool::{name}",
+                params="",
+                body=f"{{ MutexLock a({outer}); MutexLock b({inner}); }}",
+                file="src/common/parallel.cc", line=1,
+                body_start_line=1))
+        messages = [str(f) for f in lock_check.run(model, self.lock_order)]
         self.assertTrue(
-            any("cycle" in str(f) for f in findings),
-            [str(f) for f in findings])
+            any("cycle" in m and "ThreadPool::impl_->mu" in m
+                and "ThreadPool::region->mu" in m for m in messages),
+            messages)
 
 
 class AstCacheTest(unittest.TestCase):

@@ -11,6 +11,8 @@
 #include "model/latency_cache.h"
 #include "model/latency_model.h"
 #include "model/price_rate_curve.h"
+#include "spec/job_spec.h"
+#include "tuning/repetition_allocator.h"
 
 namespace htune {
 namespace {
@@ -141,7 +143,9 @@ TEST(LatencyCacheTest, ConcurrentLookupsMatchSerialKernel) {
   EXPECT_EQ(stats.hits + stats.misses, static_cast<uint64_t>(kRequests));
   // A racing pair may both miss, but entries are keyed uniquely.
   EXPECT_EQ(stats.entries, static_cast<uint64_t>(kKeys));
-  EXPECT_GE(stats.hits, static_cast<uint64_t>(kRequests - 2 * kKeys));
+  // Each lane misses a key at most once before the first insert lands.
+  EXPECT_GE(stats.hits,
+            static_cast<uint64_t>(kRequests - pool.threads() * kKeys));
 }
 
 TEST(LatencyCacheTest, ClearDropsEntriesAndCounters) {
@@ -159,31 +163,39 @@ TEST(LatencyCacheTest, ClearDropsEntriesAndCounters) {
   EXPECT_EQ(stats.misses, 0u);
 }
 
-// Regression: the miss path used to pin the curve and insert the entry
-// under separate critical sections, so a concurrent Clear() could land
-// between them — dropping the pin while the entry survived, leaving a
-// key whose curve address could be recycled into a colliding key. The
-// pair is now atomic against Clear() (both run under pin_mu_), so every
-// surviving entry always has a live pin.
-TEST(LatencyCacheTest, ClearNeverStrandsAnUnpinnedEntry) {
+// Fresh curve objects per lookup against a concurrent Clear(): whatever
+// entries a wipe drops or keeps, every lookup returns the kernel's value
+// at the curve's rate.
+TEST(LatencyCacheTest, ClearRacingLookupsReturnKernelValues) {
   GlobalLatencyCache().Clear();
   ThreadPool pool(4);
   const size_t kIters = 4000;
-  pool.ParallelFor(kIters, [](size_t i) {
+  const auto shape_of = [](size_t i) {
+    GroupShape shape;
+    shape.num_tasks = 2 + static_cast<int>(i % 3);
+    shape.repetitions = 1 + static_cast<int>(i % 2);
+    return shape;
+  };
+  const auto curve_of = [](size_t i) {
+    return std::make_shared<LinearCurve>(1.0 + static_cast<double>(i % 7),
+                                         1.0);
+  };
+  const auto price_of = [](size_t i) { return 1 + static_cast<int>(i % 4); };
+  std::vector<double> got(kIters, 0.0);
+  pool.ParallelFor(kIters, [&](size_t i) {
     if (i % 17 == 0) {
       GlobalLatencyCache().Clear();
       return;
     }
-    // Fresh heap allocation per iteration: unpinned curves really are
-    // destroyed, so their addresses really can be recycled.
-    const auto curve =
-        std::make_shared<LinearCurve>(1.0 + static_cast<double>(i % 7), 1.0);
-    GroupShape shape;
-    shape.num_tasks = 2 + static_cast<int>(i % 3);
-    shape.repetitions = 1 + static_cast<int>(i % 2);
-    GlobalLatencyCache().Phase1(shape, curve, 1 + static_cast<int>(i % 4));
+    got[i] = GlobalLatencyCache().Phase1(shape_of(i), curve_of(i),
+                                         price_of(i));
   });
-  EXPECT_EQ(GlobalLatencyCache().UnpinnedEntryCountForTest(), 0u);
+  for (size_t i = 0; i < kIters; ++i) {
+    if (i % 17 == 0) continue;
+    const double rate = curve_of(i)->Rate(price_of(i));
+    EXPECT_EQ(got[i], ExpectedGroupOnHoldLatencyAtRate(shape_of(i), rate))
+        << "i=" << i;
+  }
   GlobalLatencyCache().Clear();
 }
 
@@ -202,6 +214,90 @@ TEST(LatencyCacheTest, ProcessingRateDoesNotSplitEntries) {
   const LatencyCacheStats stats = GlobalLatencyCache().Stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.hits, 1u);
+}
+
+TEST(LatencyCacheTest, SeparatelyParsedCurvesShareOneEntry) {
+  GlobalLatencyCache().Clear();
+  const auto first = ParseCurveSpec("linear 0.5 0.5");
+  const auto second = ParseCurveSpec("linear 0.5 0.5");
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  ASSERT_NE(first->get(), second->get());
+  GroupShape shape;
+  shape.num_tasks = 7;
+  shape.repetitions = 3;
+  const double a = GlobalLatencyCache().Phase1(shape, *first, 4);
+  const double b = GlobalLatencyCache().Phase1(shape, *second, 4);
+  EXPECT_EQ(a, b);
+  const LatencyCacheStats stats = GlobalLatencyCache().Stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
+TEST(LatencyCacheTest, DifferentCurvesAtTheSameRateShareOneEntry) {
+  GlobalLatencyCache().Clear();
+  // 1 * 2 + 1 == 0.5 * 2 + 2 == 3, exactly.
+  const auto steep = std::make_shared<LinearCurve>(1.0, 1.0);
+  const auto flat = std::make_shared<LinearCurve>(0.5, 2.0);
+  GroupShape shape;
+  shape.num_tasks = 5;
+  shape.repetitions = 2;
+  const double a = GlobalLatencyCache().Phase1(shape, steep, 2);
+  const double b = GlobalLatencyCache().Phase1(shape, flat, 2);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a, ExpectedGroupOnHoldLatencyAtRate(shape, 3.0));
+  const LatencyCacheStats stats = GlobalLatencyCache().Stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.hits, 1u);
+}
+
+TEST(LatencyCacheTest, AbandonmentAdjustedCurveUsesTheCorrectedRate) {
+  GlobalLatencyCache().Clear();
+  const auto base = std::make_shared<LinearCurve>(1.0, 1.0);
+  AbandonmentModel model;
+  model.prob = 0.3;
+  model.hold_rate = 2.0;
+  const auto adjusted = AdjustCurveForAbandonment(base, model);
+  GroupShape shape;
+  shape.num_tasks = 6;
+  shape.repetitions = 2;
+  const double corrected = EffectiveOnHoldRate(base->Rate(3.0), model);
+  ASSERT_NE(corrected, base->Rate(3.0));
+  EXPECT_EQ(GlobalLatencyCache().Phase1(shape, adjusted, 3),
+            ExpectedGroupOnHoldLatencyAtRate(shape, corrected));
+  // The base curve's entry at the same price is a different key.
+  EXPECT_EQ(GlobalLatencyCache().Phase1(shape, base, 3),
+            ExpectedGroupOnHoldLatencyAtRate(shape, base->Rate(3.0)));
+  EXPECT_EQ(GlobalLatencyCache().Stats().entries, 2u);
+}
+
+// A long-running server parses a fresh curve object for every job; serving
+// the same job again must not add entries.
+TEST(LatencyCacheTest, RepeatedJobSpecSolvesDoNotGrowTheCache) {
+  GlobalLatencyCache().Clear();
+  const char* kSpec =
+      "budget = 400\n"
+      "[group]\n"
+      "tasks = 6\n"
+      "repetitions = 3\n"
+      "curve = linear 0.5 0.5\n"
+      "[group]\n"
+      "tasks = 9\n"
+      "repetitions = 2\n"
+      "curve = log 2\n";
+  const RepetitionAllocator tuner;
+  uint64_t first_entries = 0;
+  for (int run = 0; run < 10; ++run) {
+    const auto spec = ParseJobSpec(kSpec);
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    ASSERT_TRUE(tuner.SolvePrices(spec->problem).ok());
+    const uint64_t entries = GlobalLatencyCache().Stats().entries;
+    if (run == 0) {
+      first_entries = entries;
+      ASSERT_GT(first_entries, 0u);
+    }
+    EXPECT_EQ(entries, first_entries) << "run=" << run;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Run the tuning microbenchmarks and distill a BENCH_tuning.json snapshot.
 
-Runs the google-benchmark `microbench` binary with --benchmark_format=json,
-keeps the allocator end-to-end and parallel-runtime entries, and computes the
-shared-cache speedup (Baseline / ManyGroups wall time at each group count).
+Runs the google-benchmark `microbench` binary with --benchmark_format=json
+and keeps the allocator end-to-end and parallel-runtime entries.
 Stdlib only; no third-party packages.
 
 Usage:
@@ -55,7 +54,6 @@ checks still run.
 import argparse
 import json
 import math
-import re
 import subprocess
 import sys
 
@@ -84,32 +82,6 @@ def run_benchmarks(binary, min_time, extra_filter):
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"benchmark run failed: {' '.join(cmd)}")
     return json.loads(proc.stdout)
-
-
-def speedups(benchmarks):
-    """Baseline / shared-cache time ratio per group-count argument."""
-    times = {}
-    for entry in benchmarks:
-        name = entry.get("name", "")
-        match = re.fullmatch(
-            r"BM_RepetitionAllocatorManyGroups(Baseline)?/(\d+)", name)
-        if not match:
-            continue
-        variant = "baseline" if match.group(1) else "shared"
-        # User counters surface as top-level keys in the JSON entries.
-        groups = int(entry.get("groups", 0))
-        times.setdefault(groups, {})[variant] = entry["real_time"]
-    out = []
-    for groups in sorted(times):
-        pair = times[groups]
-        if "baseline" in pair and "shared" in pair and pair["shared"] > 0:
-            out.append({
-                "groups": groups,
-                "shared_cache_ms": pair["shared"],
-                "baseline_ms": pair["baseline"],
-                "speedup": pair["baseline"] / pair["shared"],
-            })
-    return out
 
 
 def load_metrics(path):
@@ -702,7 +674,6 @@ def main():
             for key in ("host_name", "num_cpus", "mhz_per_cpu",
                         "library_build_type")
         },
-        "allocator_speedup_vs_cloned_curves": speedups(benchmarks),
         "benchmarks": benchmarks,
     }
     if args.metrics:
@@ -710,9 +681,6 @@ def main():
     with open(args.out, "w") as f:
         json.dump(report, f, indent=2)
         f.write("\n")
-    for entry in report["allocator_speedup_vs_cloned_curves"]:
-        print(f"{entry['groups']} groups: {entry['speedup']:.2f}x "
-              f"({entry['baseline_ms']:.1f} -> {entry['shared_cache_ms']:.1f})")
     print(f"wrote {args.out} ({len(benchmarks)} benchmarks)")
 
 
