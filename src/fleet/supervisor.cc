@@ -167,7 +167,14 @@ StatusOr<std::vector<std::string>> FileFleetStorage::ListJournals() {
       paths.push_back("jobs/" + name);
     }
   }
+  // readdir's errno: 0 at the end of the stream. An error must fail the
+  // listing, not truncate it and hide orphan journals from Recover.
+  const int read_errno = errno;
   ::closedir(handle);
+  if (read_errno != 0) {
+    return InternalError("fleet: cannot list " + dir + ": " +
+                         std::strerror(read_errno));
+  }
   std::sort(paths.begin(), paths.end());
   return paths;
 }
@@ -221,6 +228,34 @@ struct FleetSupervisor::Outcome {
   /// True when the run grew the journal past its starting mark.
   bool progressed = false;
   FleetJobResult result;
+
+  /// Maps a run's final status to its fate: OK is done, kUnavailable
+  /// transient, kResourceExhausted the injected whole-process kill
+  /// (CrashInjectingStorage / FleetKillSwitch contract), anything else a
+  /// quarantine; a non-empty `context` prefixes the status in its detail.
+  void Classify(const Status& run_status, const std::string& context) {
+    status = run_status;
+    const std::string prefix = context.empty() ? "" : context + ": ";
+    switch (run_status.code()) {
+      case StatusCode::kOk:
+        kind = Kind::kDone;
+        return;
+      case StatusCode::kUnavailable:
+        kind = Kind::kTransient;
+        return;
+      case StatusCode::kResourceExhausted:
+        kind = Kind::kFleetDead;
+        return;
+      case StatusCode::kInternal:
+        kind = Kind::kQuarantine;
+        detail = "divergent replay: " + prefix + run_status.ToString();
+        return;
+      default:
+        kind = Kind::kQuarantine;
+        detail = "poison job: " + prefix + run_status.ToString();
+        return;
+    }
+  }
 };
 
 FleetSupervisor::FleetSupervisor(FleetStorageProvider* provider,
@@ -424,40 +459,132 @@ void FleetSupervisor::MarkDead(const Status& status) {
   ready_cv_.NotifyAll();
 }
 
+Status FleetSupervisor::SeedReadyQueue(const char* caller) {
+  if (manifest_ == nullptr) {
+    return FailedPreconditionError(std::string("fleet: ") + caller +
+                                   " before Open");
+  }
+  fleet_dead_ = false;
+  death_status_ = OkStatus();
+  ready_.clear();
+  for (const auto& [job_id, entry] : manifest_->jobs()) {
+    const bool runnable =
+        entry.state == FleetJobState::kPending ||
+        entry.state == FleetJobState::kRunning ||
+        (config_.resume_parked && entry.state == FleetJobState::kParked);
+    if (runnable) {
+      ready_.push_back(job_id);
+    }
+  }
+  // Highest priority first, submission order within a priority. The
+  // queue is consumed from the front.
+  const auto& jobs = manifest_->jobs();
+  std::stable_sort(ready_.begin(), ready_.end(),
+                   [&jobs](uint64_t a, uint64_t b) {
+                     const int pa = jobs.at(a).spec.priority;
+                     const int pb = jobs.at(b).spec.priority;
+                     if (pa != pb) {
+                       return pa > pb;
+                     }
+                     return a < b;
+                   });
+  return OkStatus();
+}
+
+bool FleetSupervisor::Dispatch(uint64_t job_id, FleetRunStats* stats,
+                               SharedJobDriver::JobRun* run,
+                               ManifestJobEntry* entry) {
+  *entry = manifest_->jobs().at(job_id);
+
+  // Fleet breaker: while open, ready jobs are parked, not dispatched —
+  // a systemic outage must not burn every job's restart budget.
+  breaker_clock_ += 1.0;
+  if (!breaker_.AllowRequest(breaker_clock_)) {
+    const Status parked =
+        Transition(job_id, FleetJobState::kParked, entry->restarts,
+                   entry->journal_bytes, "parked: fleet breaker open");
+    if (!parked.ok()) {
+      MarkDead(parked);
+      return false;
+    }
+    ++stats->breaker_parks;
+    HTUNE_OBS_COUNTER_ADD("fleet.breaker_parks", 1);
+    return false;
+  }
+
+  // Pre-flight validation, before the job is marked running: a job whose
+  // journal cannot be trusted is quarantined here and never runs.
+  const auto storage = JobStorage(job_id);
+  if (!storage.ok()) {
+    MarkDead(storage.status());
+    return false;
+  }
+  const auto loaded = (*storage)->Load();
+  if (!loaded.ok()) {
+    if (loaded.status().code() == StatusCode::kResourceExhausted) {
+      MarkDead(loaded.status());
+      return false;
+    }
+    Outcome out;
+    out.kind = Outcome::Kind::kTransient;
+    out.status = loaded.status();
+    out.journal_bytes = entry->journal_bytes;
+    ++stats->dispatched;
+    FoldOutcome(job_id, *entry, out, stats);
+    return false;
+  }
+  const auto scan = ScanJournal(*loaded);
+  std::string quarantine_reason;
+  if (!scan.ok()) {
+    quarantine_reason =
+        "journal failed validation: " + scan.status().ToString();
+  } else if (scan->valid_bytes < entry->journal_bytes) {
+    // The journal holds less intact history than the manifest proved
+    // durable: a bit flip or truncation inside the recorded prefix.
+    // Plain recovery would silently truncate and re-run — bitwise
+    // correct-looking but missing paid history — so this is poison.
+    quarantine_reason =
+        "journal regressed below durable mark (" +
+        std::to_string(scan->valid_bytes) + " < " +
+        std::to_string(entry->journal_bytes) +
+        " bytes intact): corrupted inside the recorded prefix";
+  }
+  if (!quarantine_reason.empty()) {
+    breaker_.RecordFailure(breaker_clock_);
+    const Status q =
+        Transition(job_id, FleetJobState::kQuarantined, entry->restarts,
+                   scan.ok() ? scan->valid_bytes : 0, quarantine_reason);
+    if (!q.ok()) {
+      MarkDead(q);
+      return false;
+    }
+    ++stats->quarantined;
+    HTUNE_OBS_COUNTER_ADD("fleet.quarantines", 1);
+    return false;
+  }
+
+  const Status running = Transition(job_id, FleetJobState::kRunning,
+                                    entry->restarts, scan->valid_bytes, "");
+  if (!running.ok()) {
+    MarkDead(running);
+    return false;
+  }
+  ++stats->dispatched;
+  HTUNE_OBS_COUNTER_ADD("fleet.dispatches", 1);
+  run->job_id = job_id;
+  run->spec = entry->spec;
+  run->storage = *storage;
+  run->start_valid_bytes = scan->valid_bytes;
+  return true;
+}
+
 StatusOr<FleetRunStats> FleetSupervisor::RunAll() {
   FleetRunStats stats;
   {
     MutexLock lock(mu_);
-    if (manifest_ == nullptr) {
-      return FailedPreconditionError("fleet: RunAll before Open");
-    }
-    fleet_dead_ = false;
-    death_status_ = OkStatus();
-    ready_.clear();
-    for (const auto& [job_id, entry] : manifest_->jobs()) {
-      const bool runnable =
-          entry.state == FleetJobState::kPending ||
-          entry.state == FleetJobState::kRunning ||
-          (config_.resume_parked && entry.state == FleetJobState::kParked);
-      if (runnable) {
-        ready_.push_back(job_id);
-      }
-    }
-    // Highest priority first, submission order within a priority. The
-    // queue is consumed from the front.
-    const auto& jobs = manifest_->jobs();
-    std::stable_sort(ready_.begin(), ready_.end(),
-                     [&jobs](uint64_t a, uint64_t b) {
-                       const int pa = jobs.at(a).spec.priority;
-                       const int pb = jobs.at(b).spec.priority;
-                       if (pa != pb) {
-                         return pa > pb;
-                       }
-                       return a < b;
-                     });
+    HTUNE_RETURN_IF_ERROR(SeedReadyQueue("RunAll"));
   }
-  const int lanes = config_.max_running;
-  ParallelFor(static_cast<size_t>(lanes),
+  ParallelFor(static_cast<size_t>(config_.max_running),
               [this, &stats](size_t) { WorkerLane(&stats); });
   MutexLock lock(mu_);
   if (fleet_dead_ && !death_status_.ok()) {
@@ -473,142 +600,38 @@ StatusOr<FleetRunStats> FleetSupervisor::RunAllShared(SharedJobDriver* driver) {
   FleetRunStats stats;
   {
     MutexLock lock(mu_);
-    if (manifest_ == nullptr) {
-      return FailedPreconditionError("fleet: RunAllShared before Open");
-    }
-    fleet_dead_ = false;
-    death_status_ = OkStatus();
-    ready_.clear();
-    for (const auto& [job_id, entry] : manifest_->jobs()) {
-      const bool runnable =
-          entry.state == FleetJobState::kPending ||
-          entry.state == FleetJobState::kRunning ||
-          (config_.resume_parked && entry.state == FleetJobState::kParked);
-      if (runnable) {
-        ready_.push_back(job_id);
-      }
-    }
-    const auto& jobs = manifest_->jobs();
-    std::stable_sort(ready_.begin(), ready_.end(),
-                     [&jobs](uint64_t a, uint64_t b) {
-                       const int pa = jobs.at(a).spec.priority;
-                       const int pb = jobs.at(b).spec.priority;
-                       if (pa != pb) {
-                         return pa > pb;
-                       }
-                       return a < b;
-                     });
+    HTUNE_RETURN_IF_ERROR(SeedReadyQueue("RunAllShared"));
   }
 
-  // Rounds: each consumes the whole ready queue into one gang, drives the
-  // shared simulation unlocked, folds the outcomes, and repeats while
-  // restarts re-entered the queue.
+  // Rounds: each dispatches the whole ready queue into one gang, drives
+  // the shared simulation unlocked, folds the outcomes, and repeats while
+  // restarts re-entered the queue. Run outcomes reach the breaker only at
+  // the fold, so a tripped breaker parks the next round, not this one.
   for (;;) {
     std::vector<SharedJobDriver::JobRun> runs;
     std::map<uint64_t, ManifestJobEntry> entries;
     std::map<uint64_t, uint64_t> start_valid;
-    bool drained = false;
     {
       MutexLock lock(mu_);
       if (fleet_dead_ || ready_.empty()) {
-        drained = true;
-      } else {
-        std::vector<uint64_t> round;
-        round.swap(ready_);
-        for (const uint64_t job_id : round) {
-          const ManifestJobEntry entry = manifest_->jobs().at(job_id);
-
-          breaker_clock_ += 1.0;
-          if (!breaker_.AllowRequest(breaker_clock_)) {
-            const Status parked = Transition(
-                job_id, FleetJobState::kParked, entry.restarts,
-                entry.journal_bytes, "parked: fleet breaker open");
-            if (!parked.ok()) {
-              MarkDead(parked);
-              break;
-            }
-            ++stats.breaker_parks;
-            HTUNE_OBS_COUNTER_ADD("fleet.breaker_parks", 1);
-            continue;
-          }
-
-          // Pre-flight validation, identical to the lane path: a job whose
-          // journal cannot be trusted never reaches the shared simulation.
-          const auto storage_or = JobStorage(job_id);
-          if (!storage_or.ok()) {
-            MarkDead(storage_or.status());
-            break;
-          }
-          JournalStorage* storage = *storage_or;
-          const auto loaded = storage->Load();
-          if (!loaded.ok()) {
-            if (loaded.status().code() == StatusCode::kResourceExhausted) {
-              MarkDead(loaded.status());
-              break;
-            }
-            Outcome out;
-            out.kind = Outcome::Kind::kTransient;
-            out.status = loaded.status();
-            out.journal_bytes = entry.journal_bytes;
-            ++stats.dispatched;
-            FoldOutcome(job_id, entry, out, &stats);
-            if (fleet_dead_) {
-              break;
-            }
-            continue;
-          }
-          const auto scan = ScanJournal(*loaded);
-          std::string quarantine_reason;
-          if (!scan.ok()) {
-            quarantine_reason =
-                "journal failed validation: " + scan.status().ToString();
-          } else if (scan->valid_bytes < entry.journal_bytes) {
-            quarantine_reason =
-                "journal regressed below durable mark (" +
-                std::to_string(scan->valid_bytes) + " < " +
-                std::to_string(entry.journal_bytes) +
-                " bytes intact): corrupted inside the recorded prefix";
-          }
-          if (!quarantine_reason.empty()) {
-            breaker_.RecordFailure(breaker_clock_);
-            const Status q = Transition(
-                job_id, FleetJobState::kQuarantined, entry.restarts,
-                scan.ok() ? scan->valid_bytes : 0, quarantine_reason);
-            if (!q.ok()) {
-              MarkDead(q);
-              break;
-            }
-            ++stats.quarantined;
-            HTUNE_OBS_COUNTER_ADD("fleet.quarantines", 1);
-            continue;
-          }
-
-          const Status running =
-              Transition(job_id, FleetJobState::kRunning, entry.restarts,
-                         scan->valid_bytes, "");
-          if (!running.ok()) {
-            MarkDead(running);
-            break;
-          }
-          ++stats.dispatched;
-          HTUNE_OBS_COUNTER_ADD("fleet.dispatches", 1);
-
-          SharedJobDriver::JobRun run;
-          run.job_id = job_id;
-          run.spec = entry.spec;
-          run.storage = storage;
-          run.start_valid_bytes = scan->valid_bytes;
-          runs.push_back(std::move(run));
+        break;
+      }
+      std::vector<uint64_t> round;
+      round.swap(ready_);
+      for (const uint64_t job_id : round) {
+        SharedJobDriver::JobRun run;
+        ManifestJobEntry entry;
+        if (Dispatch(job_id, &stats, &run, &entry)) {
           entries.emplace(job_id, entry);
-          start_valid.emplace(job_id, scan->valid_bytes);
-        }
-        if (fleet_dead_) {
-          drained = true;
+          start_valid.emplace(job_id, run.start_valid_bytes);
+          runs.push_back(std::move(run));
+        } else if (fleet_dead_) {
+          break;
         }
       }
-    }
-    if (drained) {
-      break;
+      if (fleet_dead_) {
+        break;
+      }
     }
     if (runs.empty()) {
       continue;  // everything parked/quarantined; re-check the queue
@@ -632,39 +655,14 @@ StatusOr<FleetRunStats> FleetSupervisor::RunAllShared(SharedJobDriver* driver) {
       Outcome out;
       if (reported == nullptr) {
         out.kind = Outcome::Kind::kQuarantine;
-        out.status = InternalError("shared driver dropped the job");
         out.detail = "poison job: shared driver returned no outcome for job " +
                      std::to_string(job_id);
         out.journal_bytes = start_valid.at(job_id);
       } else {
+        out.Classify(reported->status, reported->detail);
         out.journal_bytes = reported->journal_bytes;
         out.progressed = reported->journal_bytes > start_valid.at(job_id);
-        if (reported->status.ok()) {
-          out.kind = Outcome::Kind::kDone;
-          out.result = reported->result;
-        } else {
-          out.status = reported->status;
-          const std::string context =
-              reported->detail.empty() ? "" : reported->detail + ": ";
-          switch (reported->status.code()) {
-            case StatusCode::kUnavailable:
-              out.kind = Outcome::Kind::kTransient;
-              break;
-            case StatusCode::kResourceExhausted:
-              out.kind = Outcome::Kind::kFleetDead;
-              break;
-            case StatusCode::kInternal:
-              out.kind = Outcome::Kind::kQuarantine;
-              out.detail = "divergent replay: " + context +
-                           reported->status.ToString();
-              break;
-            default:
-              out.kind = Outcome::Kind::kQuarantine;
-              out.detail =
-                  "poison job: " + context + reported->status.ToString();
-              break;
-          }
-        }
+        out.result = reported->result;
       }
       FoldOutcome(job_id, entry, out, &stats);
       if (fleet_dead_) {
@@ -685,10 +683,8 @@ StatusOr<FleetRunStats> FleetSupervisor::RunAllShared(SharedJobDriver* driver) {
 
 void FleetSupervisor::WorkerLane(FleetRunStats* stats) {
   for (;;) {
-    uint64_t job_id = 0;
+    SharedJobDriver::JobRun run;
     ManifestJobEntry entry;
-    JournalStorage* storage = nullptr;
-    uint64_t start_valid = 0;
     {
       MutexLock lock(mu_);
       while (ready_.empty() && active_ > 0 && !fleet_dead_) {
@@ -698,101 +694,23 @@ void FleetSupervisor::WorkerLane(FleetRunStats* stats) {
         ready_cv_.NotifyAll();  // wake peers so every lane drains
         return;
       }
-      job_id = ready_.front();
+      const uint64_t job_id = ready_.front();
       ready_.erase(ready_.begin());
-      entry = manifest_->jobs().at(job_id);
-
-      // Fleet breaker: while open, ready jobs are parked, not dispatched —
-      // a systemic outage must not burn every job's restart budget.
-      breaker_clock_ += 1.0;
-      if (!breaker_.AllowRequest(breaker_clock_)) {
-        const Status parked = Transition(
-            job_id, FleetJobState::kParked, entry.restarts,
-            entry.journal_bytes, "parked: fleet breaker open");
-        if (!parked.ok()) {
-          MarkDead(parked);
-          return;
-        }
-        ++stats->breaker_parks;
-        HTUNE_OBS_COUNTER_ADD("fleet.breaker_parks", 1);
-        continue;
-      }
-
-      // Pre-flight validation, before the job is marked running: a job
-      // whose journal cannot be trusted is quarantined here and never
-      // reaches a lane.
-      const auto storage_or = JobStorage(job_id);
-      if (!storage_or.ok()) {
-        MarkDead(storage_or.status());
-        return;
-      }
-      storage = *storage_or;
-      const auto loaded = storage->Load();
-      if (!loaded.ok()) {
-        if (loaded.status().code() == StatusCode::kResourceExhausted) {
-          MarkDead(loaded.status());
-          return;
-        }
-        Outcome out;
-        out.kind = Outcome::Kind::kTransient;
-        out.status = loaded.status();
-        out.journal_bytes = entry.journal_bytes;
-        ++stats->dispatched;
-        FoldOutcome(job_id, entry, out, stats);
+      if (!Dispatch(job_id, stats, &run, &entry)) {
         if (fleet_dead_) {
           return;
         }
         continue;
       }
-      const auto scan = ScanJournal(*loaded);
-      std::string quarantine_reason;
-      if (!scan.ok()) {
-        quarantine_reason =
-            "journal failed validation: " + scan.status().ToString();
-      } else if (scan->valid_bytes < entry.journal_bytes) {
-        // The journal holds less intact history than the manifest proved
-        // durable: a bit flip or truncation inside the recorded prefix.
-        // Plain recovery would silently truncate and re-run — bitwise
-        // correct-looking but missing paid history — so this is poison.
-        quarantine_reason =
-            "journal regressed below durable mark (" +
-            std::to_string(scan->valid_bytes) + " < " +
-            std::to_string(entry.journal_bytes) +
-            " bytes intact): corrupted inside the recorded prefix";
-      }
-      if (!quarantine_reason.empty()) {
-        breaker_.RecordFailure(breaker_clock_);
-        const Status q =
-            Transition(job_id, FleetJobState::kQuarantined, entry.restarts,
-                       scan.ok() ? scan->valid_bytes : 0, quarantine_reason);
-        if (!q.ok()) {
-          MarkDead(q);
-          return;
-        }
-        ++stats->quarantined;
-        HTUNE_OBS_COUNTER_ADD("fleet.quarantines", 1);
-        continue;
-      }
-      start_valid = scan->valid_bytes;
-
-      const Status running =
-          Transition(job_id, FleetJobState::kRunning, entry.restarts,
-                     start_valid, "");
-      if (!running.ok()) {
-        MarkDead(running);
-        return;
-      }
       ++active_;
-      ++stats->dispatched;
-      HTUNE_OBS_COUNTER_ADD("fleet.dispatches", 1);
     }
 
-    const Outcome out = RunJobOnce(job_id, entry, storage, start_valid);
+    const Outcome out = RunJobOnce(run);
 
     {
       MutexLock lock(mu_);
       --active_;
-      FoldOutcome(job_id, entry, out, stats);
+      FoldOutcome(run.job_id, entry, out, stats);
       ready_cv_.NotifyAll();
       if (fleet_dead_) {
         return;
@@ -906,20 +824,20 @@ void FleetSupervisor::FoldOutcome(uint64_t job_id,
 }
 
 FleetSupervisor::Outcome FleetSupervisor::RunJobOnce(
-    uint64_t job_id, const ManifestJobEntry& entry, JournalStorage* storage,
-    uint64_t start_valid_bytes) {
+    const SharedJobDriver::JobRun& run) {
+  const FleetJobSpec& spec = run.spec;
   Outcome out;
 
-  const auto parsed = ParseJobSpec(entry.spec.spec_text);
+  const auto parsed = ParseJobSpec(spec.spec_text);
   if (!parsed.ok()) {
     out.kind = Outcome::Kind::kQuarantine;
     out.status = parsed.status();
     out.detail = "job spec failed to parse: " + parsed.status().ToString();
-    out.journal_bytes = start_valid_bytes;
+    out.journal_bytes = run.start_valid_bytes;
     return out;
   }
-  const uint64_t seed = entry.spec.seed_override >= 0
-                            ? static_cast<uint64_t>(entry.spec.seed_override)
+  const uint64_t seed = spec.seed_override >= 0
+                            ? static_cast<uint64_t>(spec.seed_override)
                             : parsed->seed;
 
   MarketConfig market;
@@ -931,8 +849,8 @@ FleetSupervisor::Outcome FleetSupervisor::RunJobOnce(
   market.record_trace = true;
 
   DurabilityConfig durability;
-  durability.storage = storage;
-  durability.snapshot_interval = entry.spec.snapshot_interval;
+  durability.storage = run.storage;
+  durability.snapshot_interval = spec.snapshot_interval;
   durability.journal_retry = config_.journal_retry;
   durability.retry_seed = seed ^ 0x6a6f75726e616cULL;  // "journal"
 
@@ -942,7 +860,7 @@ FleetSupervisor::Outcome FleetSupervisor::RunJobOnce(
   std::vector<TraceEvent> trace;
   Status run_status = OkStatus();
 
-  if (entry.spec.controller == FleetController::kAdaptiveRetuner) {
+  if (spec.controller == FleetController::kAdaptiveRetuner) {
     MarketConfig retuner_market = market;
     retuner_market.true_curve = parsed->problem.groups.front().curve;
     RetunerConfig rcfg;
@@ -956,14 +874,14 @@ FleetSupervisor::Outcome FleetSupervisor::RunJobOnce(
     }
   } else {
     FaultTolerantConfig cfg;
-    cfg.budget = entry.spec.ceiling >= 0
-                     ? static_cast<long>(entry.spec.ceiling)
+    cfg.budget = spec.ceiling >= 0
+                     ? static_cast<long>(spec.ceiling)
                      : 0;
     cfg.abandonment = {parsed->abandon_prob, parsed->abandon_hold_rate};
     cfg.market_retry = config_.market_retry;
     cfg.resilience_seed = seed ^ 0x6d61726b6574ULL;  // "market"
     if (config_.market_gate) {
-      cfg.market_fault_gate = config_.market_gate(job_id);
+      cfg.market_fault_gate = config_.market_gate(run.job_id);
     }
     const FaultTolerantExecutor executor(&allocator, cfg);
     const auto report = executor.RunDurable(market, parsed->problem, questions,
@@ -981,9 +899,9 @@ FleetSupervisor::Outcome FleetSupervisor::RunJobOnce(
   // per-job supervision cost. After a failure the tail may be torn
   // mid-append, so re-scan for the prefix that actually survived (a torn
   // tail from an exhausted retry is not durable history).
-  uint64_t end_valid = start_valid_bytes;
+  uint64_t end_valid = run.start_valid_bytes;
   {
-    const auto loaded = storage->Load();
+    const auto loaded = run.storage->Load();
     if (loaded.ok()) {
       if (run_status.ok()) {
         end_valid = loaded->size();
@@ -996,34 +914,15 @@ FleetSupervisor::Outcome FleetSupervisor::RunJobOnce(
     }
   }
   out.journal_bytes = end_valid;
-  out.progressed = end_valid > start_valid_bytes;
+  out.progressed = end_valid > run.start_valid_bytes;
 
-  if (run_status.ok()) {
+  out.Classify(run_status, "");
+  if (out.kind == Outcome::Kind::kDone) {
     Encoder trace_encoder;
     EncodeTraceEvents(trace, trace_encoder);
     out.result.trace_bytes = trace_encoder.Release();
-    out.kind = Outcome::Kind::kDone;
-    return out;
   }
-  out.status = run_status;
-  switch (run_status.code()) {
-    case StatusCode::kUnavailable:
-      out.kind = Outcome::Kind::kTransient;
-      return out;
-    case StatusCode::kResourceExhausted:
-      // The injected whole-process kill (CrashInjectingStorage /
-      // FleetKillSwitch contract).
-      out.kind = Outcome::Kind::kFleetDead;
-      return out;
-    case StatusCode::kInternal:
-      out.kind = Outcome::Kind::kQuarantine;
-      out.detail = "divergent replay: " + run_status.ToString();
-      return out;
-    default:
-      out.kind = Outcome::Kind::kQuarantine;
-      out.detail = "poison job: " + run_status.ToString();
-      return out;
-  }
+  return out;
 }
 
 }  // namespace htune

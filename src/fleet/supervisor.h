@@ -116,8 +116,9 @@ struct FleetConfig {
   int watchdog_stall_limit = 2;
   /// Retry-on-transient for manifest and per-job journal appends.
   RetryPolicy journal_retry;
-  /// Whether RunAll picks up kParked jobs again (operator-initiated retry
-  /// of hung/exhausted jobs, e.g. htune_cli resume-fleet --resume-parked).
+  /// Whether RunAll and RunAllShared pick up kParked jobs again
+  /// (operator-initiated retry of hung/exhausted jobs, e.g. htune_cli
+  /// resume-fleet --resume-parked).
   bool resume_parked = false;
   /// Seeds the restart-backoff jitter stream and the manifest's journal
   /// retry jitter.
@@ -142,7 +143,7 @@ struct FleetJobResult {
   std::string trace_bytes;
 };
 
-/// What one RunAll did.
+/// What one RunAll or RunAllShared did.
 struct FleetRunStats {
   /// Job executions dispatched (first runs and restarts).
   int dispatched = 0;
@@ -215,19 +216,20 @@ class SharedJobDriver {
 ///      |  ^           |
 ///      |  '-restart---+--> kParked       (hung / budget / breaker / parked
 ///      |                   |              controller)
-///      |                   '-> kPending  (RunAll with resume_parked)
+///      |                   '-> kPending  (next run, with resume_parked)
 ///      |-> kShed                          (admission control, terminal)
 ///      '---------> kQuarantined           (poison, terminal)
 ///   kRunning in a *reopened* manifest means the previous process died
 ///   mid-run; Recover re-dispatches it and RunDurable resumes the journal.
 ///
 /// Usage: construct, Open() (fresh fleet) or Recover() (existing
-/// directory), Submit() jobs, RunAll(). After a crash (RunAll returns the
-/// kill's kResourceExhausted), build a new supervisor over the same
-/// provider and Recover() + RunAll() — every interrupted job resumes to a
-/// bitwise-identical result; finished jobs are not re-run.
+/// directory), Submit() jobs, RunAll() (or RunAllShared()). After a crash
+/// (the run returns the kill's kResourceExhausted), build a new supervisor
+/// over the same provider and Recover() + run again — every interrupted
+/// job resumes to a bitwise-identical result; finished jobs are not re-run.
 ///
-/// Not reentrant: one RunAll at a time, Submit between runs only.
+/// Not reentrant: one RunAll or RunAllShared at a time, Submit between
+/// runs only.
 class FleetSupervisor {
  public:
   FleetSupervisor(FleetStorageProvider* provider, FleetConfig config);
@@ -258,15 +260,16 @@ class FleetSupervisor {
 
   /// Gang-schedules every runnable job onto `driver`'s shared simulation
   /// instead of isolated lanes. Rounds repeat while restarts re-enter the
-  /// ready queue; preflight validation, lifecycle edges, restart budgets,
-  /// the watchdog, and the fleet breaker behave exactly as under RunAll.
-  /// Returns the death status if the fleet died mid-round.
+  /// ready queue. Dispatch and the outcome fold are RunAll's own code; a
+  /// round's run failures reach the fleet breaker only when the round is
+  /// folded. Returns the death status if the fleet died mid-round.
   StatusOr<FleetRunStats> RunAllShared(SharedJobDriver* driver);
 
   /// Snapshot of the folded manifest view. Valid after Open/Recover.
   std::map<uint64_t, ManifestJobEntry> jobs() const;
 
-  /// Results of jobs completed by *this* supervisor's RunAll calls.
+  /// Results of jobs completed by *this* supervisor's RunAll and
+  /// RunAllShared calls.
   const std::map<uint64_t, FleetJobResult>& results() const { return results_; }
 
   /// Job ids quarantined as orphan journals by Recover.
@@ -283,17 +286,29 @@ class FleetSupervisor {
                     uint64_t journal_bytes, const std::string& detail)
       HTUNE_REQUIRES(mu_);
 
-  /// Runs one job attempt end to end (no fleet lock held): config
-  /// construction from the manifest spec and the controller's RunDurable.
-  /// Pre-flight journal validation already happened at dispatch;
-  /// `start_valid_bytes` is its durable mark, against which progress is
-  /// measured. Returns what happened, never throws the fleet off its lanes.
-  Outcome RunJobOnce(uint64_t job_id, const ManifestJobEntry& entry,
-                     JournalStorage* storage, uint64_t start_valid_bytes);
+  /// Starts a run (`caller` names it in the before-Open error): clears the
+  /// death state and queues every runnable job, (priority desc, id asc).
+  Status SeedReadyQueue(const char* caller) HTUNE_REQUIRES(mu_);
 
-  /// One worker lane: pull the highest-priority ready job, validate and
-  /// mark it kRunning, run it unlocked, fold the outcome back under the
-  /// lock, repeat until the fleet drains or dies.
+  /// Both runners' dispatch: fleet breaker, journal pre-flight (Load,
+  /// ScanJournal, quarantine below the durable mark) and the kRunning
+  /// edge. True when `run` is ready, with `entry` the job's manifest entry
+  /// at dispatch; false when the job was parked, quarantined or folded as
+  /// a failed load, or the fleet died.
+  bool Dispatch(uint64_t job_id, FleetRunStats* stats,
+                SharedJobDriver::JobRun* run, ManifestJobEntry* entry)
+      HTUNE_REQUIRES(mu_);
+
+  /// Runs one dispatched job attempt end to end on its own market (no
+  /// fleet lock held): config construction from the spec and the
+  /// controller's RunDurable. Progress is measured against
+  /// `run.start_valid_bytes`. Returns what happened, never throws the
+  /// fleet off its lanes.
+  Outcome RunJobOnce(const SharedJobDriver::JobRun& run);
+
+  /// One worker lane: pull the highest-priority ready job, Dispatch it,
+  /// run it unlocked, fold the outcome back under the lock, repeat until
+  /// the fleet drains or dies.
   void WorkerLane(FleetRunStats* stats);
 
   /// Applies a finished run's outcome: done / restart / watchdog park /
@@ -336,7 +351,7 @@ class FleetSupervisor {
   /// Decorated storage per job id (decorators run once per job).
   std::map<uint64_t, JournalStorage*> job_storage_ HTUNE_GUARDED_BY(mu_);
 
-  /// Written under mu_ during RunAll; read by callers only after RunAll
+  /// Written under mu_ during a run; read by callers only after the run
   /// returns (the accessors are not synchronized).
   std::map<uint64_t, FleetJobResult> results_;
   std::vector<uint64_t> orphans_;

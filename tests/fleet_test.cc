@@ -2,12 +2,16 @@
 // shedding, restart policy, watchdog hang detection, the fleet breaker,
 // the poison-job quarantine triplet (journal regressed below its durable
 // mark, truncated manifest tail / orphan journal, divergent replay), and
-// whole-fleet kill/recover with no re-execution of finished jobs.
+// whole-fleet kill/recover with no re-execution of finished jobs. The
+// journal pre-flight cases run through both RunAll and RunAllShared (with a
+// scripted gang driver), which share one dispatch path.
 
 #include <atomic>
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -41,6 +45,50 @@ FleetJobSpec TinyJob(const std::string& name, int64_t seed) {
   return spec;
 }
 
+/// A scripted gang driver: every job ends with `status` and no journal
+/// growth (OK completes it with a result derived from its spec), except
+/// the `drop` jobs, which get no outcome at all.
+class ScriptedDriver : public SharedJobDriver {
+ public:
+  Status status = OkStatus();
+  std::set<uint64_t> drop;
+  int rounds = 0;
+
+  StatusOr<std::vector<JobOutcome>> RunJobs(
+      std::vector<JobRun> runs) override {
+    ++rounds;
+    std::vector<JobOutcome> outcomes;
+    for (const JobRun& run : runs) {
+      if (drop.count(run.job_id) != 0) {
+        continue;
+      }
+      JobOutcome out;
+      out.job_id = run.job_id;
+      out.status = status;
+      out.journal_bytes = run.start_valid_bytes;
+      out.result.report_bytes = run.spec.name;
+      out.result.trace_bytes = std::to_string(run.spec.seed_override);
+      outcomes.push_back(std::move(out));
+    }
+    return outcomes;
+  }
+};
+
+/// Which FleetSupervisor runner executes the dispatched jobs.
+enum class Runner { kLanes, kShared };
+
+void PrintTo(Runner runner, std::ostream* os) {
+  *os << (runner == Runner::kLanes ? "Lanes" : "Shared");
+}
+
+StatusOr<FleetRunStats> RunFleet(FleetSupervisor* fleet, Runner runner) {
+  if (runner == Runner::kLanes) {
+    return fleet->RunAll();
+  }
+  ScriptedDriver driver;
+  return fleet->RunAllShared(&driver);
+}
+
 /// Runs a clean one-job fleet and returns its terminal manifest entry and
 /// journal bytes — the fault-free reference for bitwise comparisons.
 struct Reference {
@@ -49,13 +97,14 @@ struct Reference {
   FleetJobResult result;
 };
 
-Reference RunReference(const FleetJobSpec& job) {
+Reference RunReference(const FleetJobSpec& job,
+                       Runner runner = Runner::kLanes) {
   InMemoryFleetStorage provider;
   FleetSupervisor fleet(&provider, FleetConfig{});
   EXPECT_TRUE(fleet.Open().ok());
   const auto id = fleet.Submit(job);
   EXPECT_TRUE(id.ok());
-  const auto stats = fleet.RunAll();
+  const auto stats = RunFleet(&fleet, runner);
   EXPECT_TRUE(stats.ok());
   Reference ref;
   ref.entry = fleet.jobs().at(*id);
@@ -370,7 +419,13 @@ TEST(FleetSupervisorTest, OpenBreakerParksInsteadOfDispatching) {
   EXPECT_EQ(breaker_parked, stats->breaker_parks);
 }
 
-TEST(FleetSupervisorTest, QuarantinesJournalRegressedBelowDurableMark) {
+/// Journal pre-flight cases, run through both runners.
+class FleetSupervisorRunnerTest : public ::testing::TestWithParam<Runner> {};
+
+INSTANTIATE_TEST_SUITE_P(BothRunners, FleetSupervisorRunnerTest,
+                         ::testing::Values(Runner::kLanes, Runner::kShared));
+
+TEST_P(FleetSupervisorRunnerTest, QuarantinesJournalRegressedBelowDurableMark) {
   const FleetJobSpec job = TinyJob("victim", 7);
   const Reference ref = RunReference(job);
   ASSERT_GT(ref.entry.journal_bytes, 64u);
@@ -399,7 +454,7 @@ TEST(FleetSupervisorTest, QuarantinesJournalRegressedBelowDurableMark) {
   ASSERT_TRUE(fleet.Recover().ok());
   const auto sibling = fleet.Submit(TinyJob("sibling", 8));
   ASSERT_TRUE(sibling.ok());
-  const auto stats = fleet.RunAll();
+  const auto stats = RunFleet(&fleet, GetParam());
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->quarantined, 1);
   const auto jobs = fleet.jobs();
@@ -409,7 +464,7 @@ TEST(FleetSupervisorTest, QuarantinesJournalRegressedBelowDurableMark) {
       << jobs.at(1).detail;
   EXPECT_EQ(jobs.at(*sibling).state, FleetJobState::kDone);
   EXPECT_EQ(jobs.at(*sibling).detail,
-            RunReference(TinyJob("sibling", 8)).entry.detail);
+            RunReference(TinyJob("sibling", 8), GetParam()).entry.detail);
 
   // Control: the same crafted fleet without the bit flip resumes cleanly
   // to the reference result.
@@ -429,13 +484,14 @@ TEST(FleetSupervisorTest, QuarantinesJournalRegressedBelowDurableMark) {
   }
   FleetSupervisor resumed(&clean, FleetConfig{});
   ASSERT_TRUE(resumed.Recover().ok());
-  const auto clean_stats = resumed.RunAll();
+  const auto clean_stats = RunFleet(&resumed, GetParam());
   ASSERT_TRUE(clean_stats.ok());
   EXPECT_EQ(resumed.jobs().at(1).state, FleetJobState::kDone);
-  EXPECT_EQ(resumed.jobs().at(1).detail, ref.entry.detail);
+  EXPECT_EQ(resumed.jobs().at(1).detail,
+            RunReference(job, GetParam()).entry.detail);
 }
 
-TEST(FleetSupervisorTest, QuarantinesCorruptJournalHeader) {
+TEST_P(FleetSupervisorRunnerTest, QuarantinesCorruptJournalHeader) {
   const Reference ref = RunReference(TinyJob("victim", 7));
   InMemoryFleetStorage provider;
   {
@@ -452,13 +508,96 @@ TEST(FleetSupervisorTest, QuarantinesCorruptJournalHeader) {
   }
   FleetSupervisor fleet(&provider, FleetConfig{});
   ASSERT_TRUE(fleet.Recover().ok());
-  const auto stats = fleet.RunAll();
+  const auto stats = RunFleet(&fleet, GetParam());
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->quarantined, 1);
   EXPECT_EQ(fleet.jobs().at(1).state, FleetJobState::kQuarantined);
   EXPECT_NE(fleet.jobs().at(1).detail.find("failed validation"),
             std::string::npos)
       << fleet.jobs().at(1).detail;
+}
+
+TEST(FleetSupervisorTest, RunAllSharedQuarantinesJobTheDriverDropped) {
+  InMemoryFleetStorage provider;
+  FleetSupervisor fleet(&provider, FleetConfig{});
+  ASSERT_TRUE(fleet.Open().ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(fleet.Submit(TinyJob("gang#" + std::to_string(i), i)).ok());
+  }
+  ScriptedDriver driver;
+  driver.drop = {2};
+  const auto stats = fleet.RunAllShared(&driver);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(driver.rounds, 1);
+  EXPECT_EQ(stats->dispatched, 3);
+  EXPECT_EQ(stats->completed, 2);
+  EXPECT_EQ(stats->quarantined, 1);
+  const auto jobs = fleet.jobs();
+  EXPECT_EQ(jobs.at(2).state, FleetJobState::kQuarantined);
+  EXPECT_NE(jobs.at(2).detail.find("returned no outcome"), std::string::npos)
+      << jobs.at(2).detail;
+  EXPECT_EQ(fleet.results().count(2), 0u);
+  // The driver's bug is one job's poison, not the gang's.
+  EXPECT_EQ(jobs.at(1).state, FleetJobState::kDone) << jobs.at(1).detail;
+  EXPECT_EQ(jobs.at(3).state, FleetJobState::kDone) << jobs.at(3).detail;
+}
+
+TEST(FleetSupervisorTest, RunAllSharedWatchdogParksGangWithNoProgress) {
+  InMemoryFleetStorage provider;
+  FleetConfig config;
+  config.restart.max_attempts = 50;  // the watchdog must fire first
+  config.watchdog_stall_limit = 2;
+  FleetSupervisor fleet(&provider, config);
+  ASSERT_TRUE(fleet.Open().ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(fleet.Submit(TinyJob("hung#" + std::to_string(i), i)).ok());
+  }
+  ScriptedDriver driver;
+  driver.status = UnavailableError("shared market outage");
+  const auto stats = fleet.RunAllShared(&driver);
+  ASSERT_TRUE(stats.ok());
+  // Round 1 fails every job without journal growth and restarts it; round
+  // 2 fails it again and the watchdog parks the whole gang.
+  EXPECT_EQ(driver.rounds, 2);
+  EXPECT_EQ(stats->dispatched, 8);
+  EXPECT_EQ(stats->restarts, 4);
+  EXPECT_EQ(stats->watchdog_parks, 4);
+  EXPECT_EQ(stats->completed, 0);
+  for (const auto& [id, entry] : fleet.jobs()) {
+    EXPECT_EQ(entry.state, FleetJobState::kParked);
+    EXPECT_NE(entry.detail.find("watchdog"), std::string::npos)
+        << entry.detail;
+  }
+}
+
+TEST(FleetSupervisorTest, RunAllSharedBreakerParksTheNextRound) {
+  InMemoryFleetStorage provider;
+  FleetConfig config;
+  config.restart.max_attempts = 50;
+  config.watchdog_stall_limit = 100;  // the breaker must fire first
+  config.breaker.failure_threshold = 2;
+  config.breaker.open_cooldown = 1e9;  // never half-opens within this run
+  FleetSupervisor fleet(&provider, config);
+  ASSERT_TRUE(fleet.Open().ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(fleet.Submit(TinyJob("job#" + std::to_string(i), i)).ok());
+  }
+  ScriptedDriver driver;
+  driver.status = UnavailableError("systemic outage");
+  const auto stats = fleet.RunAllShared(&driver);
+  ASSERT_TRUE(stats.ok());
+  // The breaker is checked before every dispatch, but a gang's failures
+  // reach it only when the round is folded: the whole first round runs
+  // (where one lane would have stopped after two), and every restarted
+  // job is parked at the next round's dispatch.
+  EXPECT_EQ(driver.rounds, 1);
+  EXPECT_EQ(stats->dispatched, 4);
+  EXPECT_EQ(stats->restarts, 4);
+  EXPECT_EQ(stats->breaker_parks, 4);
+  for (const auto& [id, entry] : fleet.jobs()) {
+    EXPECT_EQ(entry.state, FleetJobState::kParked);
+    EXPECT_EQ(entry.detail, "parked: fleet breaker open");
+  }
 }
 
 TEST(FleetSupervisorTest, QuarantinesDivergentReplay) {

@@ -318,34 +318,50 @@ void PrintFleetOutcome(const htune::FleetSupervisor& fleet,
   }
 }
 
+/// Loads a fleet spec and its validated FleetConfig (a positive
+/// `max_running_override` sets the lane count). Returns 0, or the exit code
+/// after printing the error: 1 for an unloadable spec, 2 for a bad config.
+int LoadFleetConfig(const std::string& fleet_spec_path,
+                    int max_running_override, htune::FleetSpec* fleet_spec,
+                    htune::FleetConfig* config) {
+  auto loaded = htune::LoadFleetSpec(fleet_spec_path);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+    return 1;
+  }
+  *fleet_spec = std::move(*loaded);
+  config->max_running = max_running_override > 0 ? max_running_override
+                                                 : fleet_spec->max_running;
+  config->max_admitted = fleet_spec->max_admitted;
+  const htune::Status valid = htune::ValidateFleetConfig(*config);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+    return 2;
+  }
+  return 0;
+}
+
 int RunFleet(const std::string& fleet_spec_path, const std::string& dir,
              int max_running_override) {
   if (dir.empty()) {
     std::fprintf(stderr, "run-fleet requires --dir=PATH\n");
     return 2;
   }
-  const auto fleet_spec = htune::LoadFleetSpec(fleet_spec_path);
-  if (!fleet_spec.ok()) {
-    std::fprintf(stderr, "%s\n", fleet_spec.status().ToString().c_str());
-    return 1;
+  htune::FleetSpec fleet_spec;
+  htune::FleetConfig config;
+  const int loaded = LoadFleetConfig(fleet_spec_path, max_running_override,
+                                     &fleet_spec, &config);
+  if (loaded != 0) {
+    return loaded;
   }
   htune::FileFleetStorage provider(dir);
-  htune::FleetConfig config;
-  config.max_running = max_running_override > 0 ? max_running_override
-                                                : fleet_spec->max_running;
-  config.max_admitted = fleet_spec->max_admitted;
-  const htune::Status valid = htune::ValidateFleetConfig(config);
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
-    return 2;
-  }
   htune::FleetSupervisor fleet(&provider, config);
   const htune::Status opened = fleet.Open();
   if (!opened.ok()) {
     std::fprintf(stderr, "%s\n", opened.ToString().c_str());
     return 1;
   }
-  for (const htune::FleetJobSpec& job : fleet_spec->jobs) {
+  for (const htune::FleetJobSpec& job : fleet_spec.jobs) {
     const auto id = fleet.Submit(job);
     if (!id.ok()) {
       std::fprintf(stderr, "submit %s: %s\n", job.name.c_str(),
@@ -356,7 +372,7 @@ int RunFleet(const std::string& fleet_spec_path, const std::string& dir,
     }
   }
   std::printf("fleet %s: %zu jobs submitted, %d lanes\n", dir.c_str(),
-              fleet_spec->jobs.size(), config.max_running);
+              fleet_spec.jobs.size(), config.max_running);
   const auto stats = fleet.RunAll();
   if (!stats.ok()) {
     std::fprintf(stderr, "fleet died: %s\n",
@@ -418,21 +434,14 @@ int Serve(const std::string& fleet_spec_path, const std::string& dir,
     std::fprintf(stderr, "serve requires --dir=PATH and --socket=PATH\n");
     return 2;
   }
-  const auto fleet_spec = htune::LoadFleetSpec(fleet_spec_path);
-  if (!fleet_spec.ok()) {
-    std::fprintf(stderr, "%s\n", fleet_spec.status().ToString().c_str());
-    return 1;
+  htune::FleetSpec fleet_spec;
+  htune::FleetConfig config;
+  const int loaded = LoadFleetConfig(fleet_spec_path, max_running_override,
+                                     &fleet_spec, &config);
+  if (loaded != 0) {
+    return loaded;
   }
   htune::FileFleetStorage provider(dir);
-  htune::FleetConfig config;
-  config.max_running = max_running_override > 0 ? max_running_override
-                                                : fleet_spec->max_running;
-  config.max_admitted = fleet_spec->max_admitted;
-  const htune::Status valid = htune::ValidateFleetConfig(config);
-  if (!valid.ok()) {
-    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
-    return 2;
-  }
   htune::FleetSupervisor fleet(&provider, config);
   const htune::Status recovered = fleet.Recover();
   if (!recovered.ok()) {
@@ -440,12 +449,12 @@ int Serve(const std::string& fleet_spec_path, const std::string& dir,
     return 1;
   }
   htune::SharedServiceConfig service_config;
-  service_config.market = fleet_spec->shared_market;
+  service_config.market = fleet_spec.shared_market;
   htune::SharedMarketService service(&provider, service_config);
   // Convenience: a serve spec may carry [job] sections; they seed a fresh
   // directory exactly once (a recovered fleet already knows its jobs).
   if (fleet.jobs().empty()) {
-    for (const htune::FleetJobSpec& job : fleet_spec->jobs) {
+    for (const htune::FleetJobSpec& job : fleet_spec.jobs) {
       const auto id = fleet.Submit(job);
       if (!id.ok() &&
           id.status().code() != htune::StatusCode::kResourceExhausted) {
