@@ -38,6 +38,25 @@ Status DecodeRngState(Decoder& d, Random::State* state) {
   return d.GetDouble(&state->cached_normal);
 }
 
+/// Checks a repetition price entering the market. Weight sums and the
+/// binary search over their prefixes assume every weight is finite and
+/// non-negative, so a curve that maps the price outside that range is
+/// refused before the price can be posted.
+Status CheckRepPrice(const PriceRateCurve& curve, int price) {
+  if (price < 1) {
+    return InvalidArgumentError(
+        "SharedMarket: repetition prices must be >= 1, got " +
+        std::to_string(price));
+  }
+  const double weight = curve.Rate(static_cast<double>(price));
+  if (!(weight >= 0.0) || !std::isfinite(weight)) {
+    return InvalidArgumentError(
+        "SharedMarket: curve rate " + std::to_string(weight) + " at price " +
+        std::to_string(price) + " is negative or not finite");
+  }
+  return OkStatus();
+}
+
 }  // namespace
 
 /// One open task: sequential repetitions at rep_prices, answers decided at
@@ -53,10 +72,9 @@ struct SharedMarket::SharedTask {
   /// True while the current repetition awaits a worker.
   bool on_hold = true;
   double current_posted_time = 0.0;
-  /// curve->Rate(current price); valid while on_hold. Cached so the
-  /// per-arrival walk reads a plain double, recomputed (never adjusted)
-  /// on every price change.
-  double weight = 0.0;  // HTUNE_TRANSIENT: recomputed from the curve on restore
+  /// Tombstone: the task completed and its outcome moved to
+  /// SharedJob::completed; the slot stays until the next compaction.
+  bool completed = false;  // HTUNE_TRANSIENT: tombstones are never captured
 
   /// Completed repetitions (the current one is exposed or processing).
   size_t RepsDone() const {
@@ -72,16 +90,62 @@ struct SharedMarket::SharedTask {
 struct SharedMarket::SharedJob {
   uint64_t id = 0;
   Random rng;
-  std::vector<SharedTask> open;  // posting order — the candidate walk
+  /// Open tasks in ascending id, which is posting order and the candidate
+  /// walk, with tombstones of completed tasks left in place until the
+  /// next compaction.
+  std::vector<SharedTask> open;
   std::vector<TaskOutcome> completed;
   long spent = 0;
   TaskId next_task = 1;
-  /// Cached left-to-right sum of on-hold task weights (RecomputeJobWeight).
+  /// Per slot of `open`: the task id, ascending; a dense copy so lookups
+  /// search 8-byte keys instead of whole tasks.
+  std::vector<TaskId> ids;  // HTUNE_TRANSIENT: rebuilt from tasks on restore
+  /// Per slot of `open`: curve->Rate(current price) while the task is on
+  /// hold, +0.0 while it is processed or a tombstone.
+  std::vector<double> hold;  // HTUNE_TRANSIENT: rebuilt from tasks on restore
+  /// prefix[i] = hold[0] + ... + hold[i], summed left to right; valid
+  /// below `stale_from`.
+  std::vector<double> prefix;  // HTUNE_TRANSIENT: RecomputeJobWeight on restore
+  /// Lowest slot whose hold changed since the last RecomputeJobWeight.
+  size_t stale_from = 0;  // HTUNE_TRANSIENT: restore recomputes from slot 0
+  size_t tombstones = 0;  // HTUNE_TRANSIENT: restore leaves no tombstones
+  /// prefix.back() (0.0 with no slots) as of the last RecomputeJobWeight.
   double total_weight = 0.0;  // HTUNE_TRANSIENT: RecomputeJobWeight on restore
   std::vector<TraceEvent> trace;
 
   explicit SharedJob(uint64_t job_id, uint64_t seed)
       : id(job_id), rng(seed) {}
+
+  size_t OpenCount() const { return open.size() - tombstones; }
+
+  void SetHold(size_t slot, double weight) {
+    hold[slot] = weight;
+    stale_from = std::min(stale_from, slot);
+  }
+
+  /// Drops the tombstones. Removing +0.0 terms from a sum of non-negative
+  /// weights leaves every remaining partial sum's bits unchanged, so the
+  /// selection a compacted job makes is the one it made before.
+  void Compact() {
+    size_t live = 0;
+    for (size_t slot = 0; slot < open.size(); ++slot) {
+      if (open[slot].completed) {
+        continue;
+      }
+      if (live != slot) {
+        open[live] = std::move(open[slot]);
+        ids[live] = ids[slot];
+        hold[live] = hold[slot];
+      }
+      ++live;
+    }
+    open.erase(open.begin() + static_cast<std::ptrdiff_t>(live), open.end());
+    ids.resize(live);
+    hold.resize(live);
+    prefix.resize(live);
+    tombstones = 0;
+    stale_from = 0;
+  }
 };
 
 Status ValidateSharedMarketConfig(const SharedMarketConfig& config) {
@@ -130,24 +194,34 @@ const SharedMarket::SharedJob* SharedMarket::FindJob(uint64_t job_id) const {
   return nullptr;
 }
 
-SharedMarket::SharedTask* SharedMarket::FindOpenTask(SharedJob& job,
-                                                     TaskId task) {
-  for (SharedTask& t : job.open) {
-    if (t.id == task) {
-      return &t;
-    }
-  }
-  return nullptr;
-}
-
 const SharedMarket::SharedTask* SharedMarket::FindOpenTask(
     const SharedJob& job, TaskId task) const {
-  for (const SharedTask& t : job.open) {
-    if (t.id == task) {
-      return &t;
-    }
+  // Binary search for the last id <= task, written so the compiler emits
+  // a conditional move: a review looks up every open task, and on jobs of
+  // a few dozen tasks std::lower_bound's mispredicted branches cost more
+  // than a linear walk.
+  size_t len = job.ids.size();
+  if (len == 0) {
+    return nullptr;
   }
-  return nullptr;
+  const TaskId* base = job.ids.data();
+  while (len > 1) {
+    const size_t half = len / 2;
+    base = base[half] <= task ? base + half : base;
+    len -= half;
+  }
+  if (*base != task) {
+    return nullptr;
+  }
+  const SharedTask& found =
+      job.open[static_cast<size_t>(base - job.ids.data())];
+  return found.completed ? nullptr : &found;
+}
+
+SharedMarket::SharedTask* SharedMarket::FindOpenTask(SharedJob& job,
+                                                     TaskId task) {
+  return const_cast<SharedTask*>(
+      FindOpenTask(std::as_const(job), task));
 }
 
 Status SharedMarket::AddJob(uint64_t job_id, uint64_t seed) {
@@ -162,15 +236,16 @@ Status SharedMarket::AddJob(uint64_t job_id, uint64_t seed) {
 }
 
 void SharedMarket::RecomputeJobWeight(SharedJob& job) {
-  // The canonical left-to-right loop: the job's total is a pure function
-  // of its current on-hold membership and cached task weights, so a
-  // restored engine recomputing it lands on the identical bits.
-  double total = 0.0;
-  for (const SharedTask& task : job.open) {
-    if (task.on_hold) {
-      total += task.weight;
-    }
+  // Resumes the canonical left-to-right sum at the lowest changed slot.
+  // Every prefix below it is already the partial sum a full loop would
+  // produce, so the result has the bits of re-summing the whole job.
+  const size_t slots = job.hold.size();
+  double total = job.stale_from == 0 ? 0.0 : job.prefix[job.stale_from - 1];
+  for (size_t slot = job.stale_from; slot < slots; ++slot) {
+    total += job.hold[slot];
+    job.prefix[slot] = total;
   }
+  job.stale_from = slots;
   job.total_weight = total;
 }
 
@@ -193,11 +268,7 @@ StatusOr<TaskId> SharedMarket::PostTask(uint64_t job_id,
     return InvalidArgumentError("SharedMarket: a task needs >= 1 repetition");
   }
   for (const int price : rep_prices) {
-    if (price < 1) {
-      return InvalidArgumentError(
-          "SharedMarket: repetition prices must be >= 1, got " +
-          std::to_string(price));
-    }
+    HTUNE_RETURN_IF_ERROR(CheckRepPrice(*config_.curve, price));
   }
   if (!(processing_rate > 0.0) || !std::isfinite(processing_rate)) {
     return InvalidArgumentError(
@@ -217,11 +288,14 @@ StatusOr<TaskId> SharedMarket::PostTask(uint64_t job_id,
   task.outcome.posted_time = now_;
   task.on_hold = true;
   task.current_posted_time = now_;
-  task.weight = config_.curve->Rate(static_cast<double>(rep_prices.front()));
   job->open.push_back(std::move(task));
+  job->ids.push_back(job->open.back().id);
+  job->hold.push_back(0.0);
+  job->prefix.push_back(0.0);
+  job->SetHold(job->open.size() - 1,
+               config_.curve->Rate(static_cast<double>(rep_prices.front())));
   ++open_tasks_;
   ++counts_.tasks_posted;
-  RecomputeJobWeight(*job);
   return job->open.back().id;
 }
 
@@ -234,6 +308,7 @@ Status SharedMarket::Reprice(uint64_t job_id, TaskId task_id, int new_price) {
   if (new_price < 1) {
     return InvalidArgumentError("SharedMarket: reprice below 1 unit");
   }
+  HTUNE_RETURN_IF_ERROR(CheckRepPrice(*config_.curve, new_price));
   SharedTask* task = FindOpenTask(*job, task_id);
   if (task == nullptr) {
     for (const TaskOutcome& done : job->completed) {
@@ -252,16 +327,17 @@ Status SharedMarket::Reprice(uint64_t job_id, TaskId task_id, int new_price) {
     task->rep_prices[i] = new_price;
   }
   if (task->on_hold) {
-    task->weight = config_.curve->Rate(static_cast<double>(new_price));
-    RecomputeJobWeight(*job);
+    job->SetHold(static_cast<size_t>(task - job->open.data()),
+                 config_.curve->Rate(static_cast<double>(new_price)));
   }
   ++counts_.reprices;
   return OkStatus();
 }
 
-double SharedMarket::TotalPostedWeight() const {
+double SharedMarket::TotalPostedWeight() {
   double total = 0.0;
-  for (const SharedJob& job : jobs_) {
+  for (SharedJob& job : jobs_) {
+    RecomputeJobWeight(job);
     total += job.total_weight;
   }
   return total;
@@ -272,12 +348,9 @@ void SharedMarket::StepArrival() {
   now_ = draw.time;
   ++counts_.worker_arrivals;
 
-  // W over per-job cached totals, left to right in job order — the outer
-  // level of the hierarchical candidate walk.
-  double total = 0.0;
-  for (const SharedJob& job : jobs_) {
-    total += job.total_weight;
-  }
+  // W over per-job totals, left to right in job order — the outer level
+  // of the hierarchical candidate walk.
+  const double total = TotalPostedWeight();
   const double threshold =
       draw.selector *
       (total > config_.worker_arrival_rate ? total
@@ -288,7 +361,7 @@ void SharedMarket::StepArrival() {
 
   // Select the job by cumulative total, then the task inside it by
   // cumulative weight. Float rounding in threshold - cumulative can push
-  // the local coordinate onto (not inside) the job's total, so both walks
+  // the local coordinate onto (not inside) the job's total, so both steps
   // fall back to the last live candidate — a deterministic tie-break.
   SharedJob* selected_job = nullptr;
   double local = 0.0;
@@ -311,30 +384,23 @@ void SharedMarket::StepArrival() {
     local = selected_job->total_weight;
   }
 
-  SharedTask* selected = nullptr;
-  SharedTask* last_on_hold = nullptr;
-  double task_cumulative = 0.0;
-  for (SharedTask& task : selected_job->open) {
-    if (!task.on_hold || task.weight <= 0.0) {
-      continue;
-    }
-    last_on_hold = &task;
-    task_cumulative += task.weight;
-    if (local < task_cumulative) {
-      selected = &task;
-      break;
-    }
+  // The selected slot is the first whose running sum exceeds `local`; a
+  // zero-weight slot never raises the sum, so it is never first. The
+  // fallback is the first slot reaching the job's total: the last on-hold
+  // task whose weight registered in the sum.
+  const std::vector<double>& prefix = selected_job->prefix;
+  auto pick = std::upper_bound(prefix.begin(), prefix.end(), local);
+  if (pick == prefix.end()) {
+    pick = std::lower_bound(prefix.begin(), prefix.end(), prefix.back());
   }
-  if (selected == nullptr) {
-    selected = last_on_hold;
-  }
-  HTUNE_CHECK(selected != nullptr);
+  const size_t selected = static_cast<size_t>(pick - prefix.begin());
+  HTUNE_CHECK(selected_job->hold[selected] > 0.0);
 
   // Acceptance: the worker takes this repetition. Answer decided now from
   // the job's private stream (error Bernoulli, then the wrong-option pick
   // when it errs, then the processing Exponential — a fixed draw order).
   SharedJob& job = *selected_job;
-  SharedTask& task = *selected;
+  SharedTask& task = job.open[selected];
   const size_t slot = task.RepsDone();
   RepetitionOutcome rep;
   rep.posted_time = task.current_posted_time;
@@ -352,6 +418,7 @@ void SharedMarket::StepArrival() {
   }
   task.outcome.repetitions.push_back(rep);
   task.on_hold = false;
+  job.SetHold(selected, 0.0);
   ++counts_.acceptances;
   Record(job, {now_, TraceEventKind::kTaskAccepted, draw.worker, task.id,
                static_cast<int>(slot) + 1});
@@ -359,7 +426,6 @@ void SharedMarket::StepArrival() {
   const double processing = job.rng.Exponential(task.processing_rate);
   queue_->Push({now_ + processing, event_sequence_++, task.id,
                 MarketEvent::Kind::kCompletion, job.id});
-  RecomputeJobWeight(job);
 }
 
 void SharedMarket::ApplyCompletion(const MarketEvent& event) {
@@ -382,20 +448,21 @@ void SharedMarket::ApplyCompletion(const MarketEvent& event) {
     Record(*job, {now_, TraceEventKind::kTaskCompleted, 0, task->id,
                   rep_index});
     job->completed.push_back(std::move(task->outcome));
-    for (auto it = job->open.begin(); it != job->open.end(); ++it) {
-      if (it->id == event.task) {
-        job->open.erase(it);
-        break;
-      }
-    }
+    // The slot's hold is already +0.0 (processing); it becomes a tombstone
+    // and the job compacts once tombstones fill over half its slots.
+    task->completed = true;
+    ++job->tombstones;
     --open_tasks_;
+    if (2 * job->tombstones > job->open.size()) {
+      job->Compact();
+    }
   } else {
     task->on_hold = true;
     task->current_posted_time = now_;
-    task->weight = config_.curve->Rate(
-        static_cast<double>(task->rep_prices[task->RepsDone()]));
+    job->SetHold(static_cast<size_t>(task - job->open.data()),
+                 config_.curve->Rate(static_cast<double>(
+                     task->rep_prices[task->RepsDone()])));
   }
-  RecomputeJobWeight(*job);
 }
 
 size_t SharedMarket::RunUntil(double deadline) {
@@ -462,16 +529,18 @@ const std::vector<TraceEvent>& SharedMarket::Trace(uint64_t job_id) const {
 size_t SharedMarket::OpenTaskCount(uint64_t job_id) const {
   const SharedJob* job = FindJob(job_id);
   HTUNE_CHECK(job != nullptr);
-  return job->open.size();
+  return job->OpenCount();
 }
 
 std::vector<TaskId> SharedMarket::OpenTaskIds(uint64_t job_id) const {
   const SharedJob* job = FindJob(job_id);
   HTUNE_CHECK(job != nullptr);
   std::vector<TaskId> ids;
-  ids.reserve(job->open.size());
+  ids.reserve(job->OpenCount());
   for (const SharedTask& task : job->open) {
-    ids.push_back(task.id);
+    if (!task.completed) {
+      ids.push_back(task.id);
+    }
   }
   return ids;
 }
@@ -539,8 +608,11 @@ std::string SharedMarket::CaptureState() const {
     EncodeRngState(job.rng.SaveState(), e);
     e.PutU64(job.next_task);
     e.PutI64(job.spent);
-    e.PutU64(job.open.size());
+    e.PutU64(job.OpenCount());
     for (const SharedTask& task : job.open) {
+      if (task.completed) {
+        continue;
+      }
       e.PutU64(task.id);
       e.PutI32Vector(task.rep_prices);
       e.PutDouble(task.processing_rate);
@@ -638,18 +710,32 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
       HTUNE_RETURN_IF_ERROR(d.GetDouble(&task.current_posted_time));
       HTUNE_RETURN_IF_ERROR(DecodeTaskOutcome(d, task.outcome));
       if (task.rep_prices.empty() ||
-          task.outcome.repetitions.size() > task.rep_prices.size()) {
+          task.outcome.repetitions.size() > task.rep_prices.size() ||
+          (task.on_hold && task.RepsDone() == task.rep_prices.size())) {
         return InvalidArgumentError(
             "SharedMarket: snapshot task shape invalid");
       }
-      // The cached weight is derived state: recompute from the curve, the
-      // same call a continuously-running engine made at the last change.
-      if (task.on_hold) {
-        task.weight = config_.curve->Rate(
-            static_cast<double>(task.rep_prices[task.RepsDone()]));
+      // Lookup binary-searches ids, so they must ascend, and every open
+      // id was handed out before next_task.
+      if ((!job.open.empty() && task.id <= job.open.back().id) ||
+          task.id >= job.next_task) {
+        return InvalidArgumentError(
+            "SharedMarket: snapshot open-task ids must ascend below "
+            "next_task");
       }
+      for (const int price : task.rep_prices) {
+        HTUNE_RETURN_IF_ERROR(CheckRepPrice(*config_.curve, price));
+      }
+      // The hold weight is derived state: recompute from the curve, the
+      // same call a continuously-running engine made at the last change.
+      job.hold.push_back(task.on_hold
+                             ? config_.curve->Rate(static_cast<double>(
+                                   task.rep_prices[task.RepsDone()]))
+                             : 0.0);
+      job.ids.push_back(task.id);
       job.open.push_back(std::move(task));
     }
+    job.prefix.resize(job.open.size());
     open_tasks += job.open.size();
 
     uint64_t completed_count = 0;

@@ -60,11 +60,24 @@ struct SharedMarketCounts {
 /// Determinism contract (the platform service's bitwise-resume guarantee
 /// is built on it):
 ///  - Candidate order is jobs in ascending id, then each job's open tasks
-///    in posting order. Selection walks cached per-job weight totals, each
-///    recomputed by an identical left-to-right loop whenever that job's
-///    on-hold membership or prices change — never maintained incrementally
-///    — so every float accumulation is a function of current state alone
-///    and restores bitwise.
+///    in posting order (= ascending task id). Every weight is finite and
+///    non-negative: PostTask and Reprice refuse prices the curve maps
+///    elsewhere.
+///  - Each job keeps a dense per-slot weight (the task's weight while on
+///    hold, +0.0 otherwise) and its prefix sums, accumulated left to
+///    right. A change re-sums only from the lowest changed slot onward;
+///    every prefix below that slot is already the partial sum a full loop
+///    would produce, so each prefix, and the job total, is bit-for-bit the
+///    full left-to-right sum of the current weights. Completed tasks stay
+///    as +0.0 tombstones until they fill over half the slots, then the
+///    job compacts. Adding +0.0 leaves a non-negative sum's bits
+///    unchanged, so tombstones and in-flight slots never move a partial
+///    sum, and a restored engine, which holds no tombstones, lands on
+///    identical bits.
+///  - Selection takes the job by a walk over job totals, then the task by
+///    binary search for the first prefix above the job-local coordinate.
+///    When float rounding puts the coordinate on the job's total, it takes
+///    the first slot whose prefix reaches that total.
 ///  - RNG streams: the shared stream owns the arrival clock and selection
 ///    uniforms (two draws per arrival, independent of who competes); each
 ///    job owns a private stream for its answer-error and processing-time
@@ -87,15 +100,17 @@ class SharedMarket {
   Status AddJob(uint64_t job_id, uint64_t seed);
 
   /// Posts one task for `job_id`: one sequential repetition per entry of
-  /// `rep_prices` (each >= 1), processed at `processing_rate` once
-  /// accepted. Returns the job-local task id (1-based, dense).
+  /// `rep_prices` (each >= 1, with curve->Rate(price) finite and
+  /// non-negative), processed at `processing_rate` once accepted. Returns
+  /// the job-local task id (1-based, dense).
   StatusOr<TaskId> PostTask(uint64_t job_id, const std::vector<int>& rep_prices,
                             double processing_rate, int true_answer = 0,
                             int num_options = 2);
 
   /// Changes the payment of the current and all future repetitions of an
-  /// open task. NotFound for unknown ids, FailedPrecondition once the task
-  /// completed.
+  /// open task. InvalidArgument for a price below 1 or one whose curve
+  /// rate is negative or not finite, NotFound for unknown ids,
+  /// FailedPrecondition once the task completed.
   Status Reprice(uint64_t job_id, TaskId task, int new_price);
 
   /// Runs until every posted task of every job completed or the next
@@ -111,8 +126,9 @@ class SharedMarket {
   const SharedMarketCounts& Counts() const { return counts_; }
 
   /// Total posted weight W (left-to-right over per-job totals) — the
-  /// saturation signal controllers feed into DilutedCurve.
-  double TotalPostedWeight() const;
+  /// saturation signal controllers feed into DilutedCurve. Brings stale
+  /// per-job prefix sums up to date first, hence non-const.
+  double TotalPostedWeight();
 
   /// Per-job views. All return NotFound/CHECK-fail free lookups: the job
   /// must exist (CHECK) since sessions address only jobs they created.
@@ -146,13 +162,15 @@ class SharedMarket {
   struct SharedTask;
   struct SharedJob;
 
+  /// FindOpenTask binary-searches the job's ascending task ids and returns
+  /// nullptr for completed tasks.
   SharedJob* FindJob(uint64_t job_id);
   const SharedJob* FindJob(uint64_t job_id) const;
   SharedTask* FindOpenTask(SharedJob& job, TaskId task);
   const SharedTask* FindOpenTask(const SharedJob& job, TaskId task) const;
 
-  /// Recomputes the job's cached on-hold weight total with the canonical
-  /// left-to-right loop. Called on every membership or price change.
+  /// Brings the job's prefix sums and total up to date, re-summing left
+  /// to right from the lowest slot changed since the last call.
   void RecomputeJobWeight(SharedJob& job);
   void Record(SharedJob& job, const TraceEvent& event);
   void StepArrival();

@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "durability/crc32c.h"
+#include "durability/serialize.h"
+#include "durability/snapshot.h"
 #include "model/price_rate_curve.h"
 
 namespace htune {
@@ -321,6 +330,222 @@ TEST(SharedMarketTest, EventQueueImplementationsAgreeBitwise) {
   EXPECT_EQ(run(EventQueueImpl::kCalendar), run(EventQueueImpl::kBinaryHeap));
 }
 
+// Golden transcript under non-integer weights. Every other test here uses
+// Rate(p) = p, whose integer weights sum to the same bits in any order, so
+// only this test can catch a reordered or re-associated weight sum: it pins
+// a CRC32C of the total posted weight at each checkpoint, the mid-run
+// snapshot, the final state and every job's trace and outcomes. The run
+// covers mid-run reprices (on-hold and in-flight tasks), tasks posted
+// after completions, over half of a job's tasks completing before the
+// capture, and a capture/restore that must continue bitwise.
+//
+// The constant was recorded from the engine whose selection walk re-summed
+// every open task on each event. To print the digest after an intentional
+// contract change (there should be none), run with HTUNE_GOLDEN_PRINT=1.
+TEST(SharedMarketTest, NonIntegerWeightTranscriptIsPinned) {
+  SharedMarketConfig config;
+  config.worker_arrival_rate = 60.0;
+  config.worker_error_prob = 0.15;
+  config.curve = std::make_shared<LogCurve>(7.3);
+  config.seed = 2027;
+  const std::vector<uint64_t> jobs = {2, 3, 7, 11};
+
+  Encoder digest;
+  auto checkpoint = [&digest](SharedMarket& market) {
+    digest.PutDouble(market.TotalPostedWeight());
+    digest.PutDouble(market.now());
+    digest.PutU64(market.OpenTaskCount());
+  };
+
+  SharedMarket original(config);
+  std::vector<size_t> posted(jobs.size(), 0);
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    ASSERT_TRUE(original.AddJob(jobs[j], 900 + jobs[j]).ok());
+  }
+  auto post = [&](size_t j, int count, int salt) {
+    for (int t = 0; t < count; ++t) {
+      const int price = 1 + (t * 7 + salt) % 5;
+      const std::vector<int> reps(static_cast<size_t>(1 + (t + salt) % 3),
+                                  price);
+      const double processing = 2.0 + 0.37 * static_cast<double>((t + j) % 4);
+      ASSERT_TRUE(original
+                      .PostTask(jobs[j], reps, processing,
+                                /*true_answer=*/t % 3, /*num_options=*/3)
+                      .ok());
+      ++posted[j];
+    }
+  };
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    post(j, 120 + 20 * static_cast<int>(j), static_cast<int>(j));
+  }
+  checkpoint(original);
+
+  original.RunUntil(4.0);
+  checkpoint(original);
+  // Escalate every third open task; some are on hold, some in flight.
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    const std::vector<TaskId> open = original.OpenTaskIds(jobs[j]);
+    for (size_t k = 0; k < open.size(); k += 3) {
+      const auto price = original.CurrentPrice(jobs[j], open[k]);
+      ASSERT_TRUE(price.ok());
+      ASSERT_TRUE(original
+                      .Reprice(jobs[j], open[k],
+                               *price + 1 + static_cast<int>(j))
+                      .ok());
+    }
+  }
+  checkpoint(original);
+
+  original.RunUntil(9.0);
+  checkpoint(original);
+  post(1, 25, 4);  // appended behind completed tasks
+  post(3, 10, 2);
+  checkpoint(original);
+  original.RunUntil(15.0);
+  checkpoint(original);
+
+  bool some_job_mostly_done = false;
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    some_job_mostly_done |=
+        original.CompletedOutcomes(jobs[j]).size() * 2 > posted[j];
+  }
+  ASSERT_TRUE(some_job_mostly_done);
+  ASSERT_GT(original.OpenTaskCount(), 0u);
+  const std::string snapshot = original.CaptureState();
+  digest.PutString(snapshot);
+
+  SharedMarket resumed(config);
+  ASSERT_TRUE(resumed.RestoreState(snapshot).ok());
+  EXPECT_EQ(resumed.CaptureState(), snapshot);
+  EXPECT_EQ(resumed.TotalPostedWeight(), original.TotalPostedWeight());
+  for (SharedMarket* market : {&original, &resumed}) {
+    const std::vector<TaskId> open = market->OpenTaskIds(jobs[2]);
+    for (size_t k = 1; k < open.size(); k += 4) {
+      ASSERT_TRUE(market->Reprice(jobs[2], open[k], 6).ok());
+    }
+    market->RunUntil(18.0);
+    checkpoint(*market);
+    ASSERT_TRUE(market->RunToCompletion().ok());
+  }
+  EXPECT_EQ(resumed.CaptureState(), original.CaptureState());
+
+  const std::string final_state = original.CaptureState();
+  digest.PutString(final_state);
+  for (const uint64_t job : jobs) {
+    EncodeTraceEvents(original.Trace(job), digest);
+    for (const TaskOutcome& outcome : original.CompletedOutcomes(job)) {
+      EncodeTaskOutcome(outcome, digest);
+    }
+    digest.PutI64(original.TotalSpent(job));
+  }
+  const uint32_t crc = Crc32c(digest.Release());
+  if (std::getenv("HTUNE_GOLDEN_PRINT") != nullptr) {
+    std::printf("GOLDEN NonIntegerWeightTranscript: 0x%08x\n", crc);
+  }
+  EXPECT_EQ(crc, 0xbc2c0edfu);
+}
+
+// Completed tasks leave every view at once, however the engine stores
+// them: over half of job 1's tasks complete before the capture, and the
+// views, the errors and the captured bytes match a restored engine's.
+TEST(SharedMarketTest, CompletedTasksVanishFromEveryView) {
+  constexpr int kTasks = 40;
+  SharedMarket market(BaseConfig());
+  ASSERT_TRUE(market.AddJob(1, 71).ok());
+  ASSERT_TRUE(market.AddJob(2, 72).ok());
+  for (int t = 0; t < kTasks; ++t) {
+    ASSERT_TRUE(market.PostTask(1, {2}, 3.0).ok());
+    ASSERT_TRUE(market.PostTask(2, {2, 2}, 3.0).ok());
+  }
+  for (double clock = 0.05; market.CompletedOutcomes(1).size() * 2 <= kTasks;
+       clock += 0.05) {
+    market.RunUntil(clock);
+    ASSERT_LT(clock, 1e4) << "market stalled";
+  }
+  const std::vector<TaskOutcome>& done = market.CompletedOutcomes(1);
+  ASSERT_LT(done.size(), static_cast<size_t>(kTasks));
+
+  const std::vector<TaskId> open = market.OpenTaskIds(1);
+  EXPECT_EQ(open.size(), kTasks - done.size());
+  EXPECT_EQ(market.OpenTaskCount(1), open.size());
+  EXPECT_TRUE(std::is_sorted(open.begin(), open.end()));
+  for (const TaskOutcome& outcome : done) {
+    EXPECT_FALSE(std::binary_search(open.begin(), open.end(), outcome.id));
+  }
+
+  const TaskId finished = done.front().id;
+  EXPECT_EQ(market.Reprice(1, finished, 5).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(market.OnHoldSince(1, finished).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(market.CurrentPrice(1, finished).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(market.Reprice(1, kTasks + 1, 5).code(), StatusCode::kNotFound);
+
+  const std::string snapshot = market.CaptureState();
+  SharedMarket resumed(BaseConfig());
+  ASSERT_TRUE(resumed.RestoreState(snapshot).ok());
+  EXPECT_EQ(resumed.CaptureState(), snapshot);
+  EXPECT_EQ(resumed.OpenTaskIds(1), open);
+  EXPECT_EQ(resumed.OpenTaskCount(1), open.size());
+  EXPECT_EQ(resumed.TotalPostedWeight(), market.TotalPostedWeight());
+  EXPECT_EQ(resumed.Reprice(1, finished, 5).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(resumed.OnHoldSince(1, finished).status().code(),
+            StatusCode::kNotFound);
+
+  ASSERT_TRUE(market.RunToCompletion().ok());
+  ASSERT_TRUE(resumed.RunToCompletion().ok());
+  EXPECT_EQ(resumed.CaptureState(), market.CaptureState());
+  EXPECT_TRUE(market.OpenTaskIds(1).empty());
+  EXPECT_EQ(market.TotalPostedWeight(), 0.0);
+}
+
+// A curve rate that is negative, NaN or infinite would make the weight
+// total and the selection disagree, so such prices never enter the market.
+TEST(SharedMarketTest, RejectsPricesWithNegativeOrNonFiniteWeight) {
+  SharedMarketConfig config = BaseConfig();
+  config.curve = std::make_shared<FunctionCurve>(
+      [](double price) {
+        if (price == 5.0) return -1.0;
+        if (price == 6.0) return std::numeric_limits<double>::quiet_NaN();
+        if (price == 7.0) return std::numeric_limits<double>::infinity();
+        return price;
+      },
+      "holes at 5, 6, 7");
+  SharedMarket market(config);
+  ASSERT_TRUE(market.AddJob(1, 81).ok());
+  for (const int bad : {5, 6, 7}) {
+    EXPECT_EQ(market.PostTask(1, {2, bad}, 1.0).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(market.OpenTaskCount(), 0u);
+  EXPECT_EQ(market.Counts().tasks_posted, 0u);
+
+  auto task = market.PostTask(1, {2, 3}, 1.0);
+  ASSERT_TRUE(task.ok());
+  EXPECT_EQ(*task, 1u);  // rejected posts consumed no id
+  for (const int bad : {5, 6, 7}) {
+    EXPECT_EQ(market.Reprice(1, *task, bad).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(market.Counts().reprices, 0u);
+  EXPECT_EQ(*market.CurrentPrice(1, *task), 2);
+  EXPECT_EQ(market.TotalPostedWeight(), 2.0);
+  ASSERT_TRUE(market.Reprice(1, *task, 4).ok());
+  EXPECT_EQ(market.TotalPostedWeight(), 4.0);
+  ASSERT_TRUE(market.RunToCompletion().ok());
+
+  // Restore checks the snapshot's prices against the same rule.
+  SharedMarket donor(BaseConfig());
+  ASSERT_TRUE(donor.AddJob(1, 82).ok());
+  ASSERT_TRUE(donor.PostTask(1, {2, 6}, 1.0).ok());
+  EXPECT_EQ(SharedMarket(config).RestoreState(donor.CaptureState()).code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(SharedMarketTest, RestoreRejectsCorruptBytes) {
   SharedMarket market(BaseConfig());
   EXPECT_FALSE(market.RestoreState("").ok());
@@ -332,6 +557,75 @@ TEST(SharedMarketTest, RestoreRejectsCorruptBytes) {
   std::string snapshot = donor.CaptureState();
   snapshot.resize(snapshot.size() - 3);  // truncated tail
   EXPECT_FALSE(market.RestoreState(snapshot).ok());
+
+  // Open-task ids must ascend strictly and stay below next_task: lookup
+  // binary-searches them. Patch ids in an otherwise valid snapshot.
+  SharedMarket two(BaseConfig());
+  ASSERT_TRUE(two.AddJob(1, 1).ok());
+  ASSERT_TRUE(two.PostTask(1, {2}, 1.0).ok());
+  ASSERT_TRUE(two.PostTask(1, {2}, 1.0).ok());
+  const std::string valid = two.CaptureState();
+  ASSERT_TRUE(SharedMarket(BaseConfig()).RestoreState(valid).ok());
+  // Each open task's bytes start with its u64 id followed by its price
+  // vector {2}; locate both in the valid bytes, then patch the ids.
+  auto id_offset = [&valid](uint64_t id) {
+    Encoder pattern;
+    pattern.PutU64(id);
+    pattern.PutI32Vector({2});
+    const size_t at = valid.find(pattern.Release());
+    EXPECT_NE(at, std::string::npos);
+    return at;
+  };
+  const size_t first_at = id_offset(1);
+  const size_t second_at = id_offset(2);
+  auto with_task_ids = [&](uint64_t first, uint64_t second) {
+    std::string bytes = valid;
+    for (const auto& [at, id] :
+         {std::pair<size_t, uint64_t>{first_at, first}, {second_at, second}}) {
+      Encoder patch;
+      patch.PutU64(id);
+      bytes.replace(at, 8, patch.Release());
+    }
+    return bytes;
+  };
+  EXPECT_EQ(with_task_ids(1, 2), valid);
+  EXPECT_EQ(SharedMarket(BaseConfig())
+                .RestoreState(with_task_ids(2, 1))  // descending
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SharedMarket(BaseConfig())
+                .RestoreState(with_task_ids(1, 1))  // repeated
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SharedMarket(BaseConfig())
+                .RestoreState(with_task_ids(1, 3))  // == next_task
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SharedMarket(BaseConfig())
+                .RestoreState(with_task_ids(1, 9))  // > next_task
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  // A task on hold with every repetition already accepted has no price
+  // to post. Accept task 1's only repetition, then flip its on_hold byte
+  // (after id, prices {2}, processing rate, true answer, option count).
+  SharedMarket busy(BaseConfig());
+  ASSERT_TRUE(busy.AddJob(1, 1).ok());
+  ASSERT_TRUE(busy.PostTask(1, {2}, 1e-6).ok());
+  busy.RunUntil(1.0);
+  ASSERT_FALSE(busy.OnHoldSince(1, 1).ok());  // accepted, processing
+  std::string in_flight = busy.CaptureState();
+  ASSERT_TRUE(SharedMarket(BaseConfig()).RestoreState(in_flight).ok());
+  Encoder task_start;
+  task_start.PutU64(1);
+  task_start.PutI32Vector({2});
+  const size_t task_at = in_flight.find(task_start.Release());
+  ASSERT_NE(task_at, std::string::npos);
+  const size_t on_hold_at = task_at + 8 + 12 + 8 + 4 + 4;
+  ASSERT_EQ(in_flight[on_hold_at], '\0');
+  in_flight[on_hold_at] = '\1';
+  EXPECT_EQ(SharedMarket(BaseConfig()).RestoreState(in_flight).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
