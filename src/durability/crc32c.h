@@ -11,8 +11,10 @@ namespace htune {
 /// by the write-ahead journal to detect torn and bit-flipped records. Every
 /// single-bit error and every burst error up to 32 bits is detected, which is
 /// what the recovery path relies on when deciding where a journal's valid
-/// prefix ends. Software table implementation: journals here are small and
-/// durability is not a hot path.
+/// prefix ends. Portable slicing-by-8 (eight 256-entry tables, eight bytes
+/// per step, no hardware intrinsics): every journal, manifest and snapshot
+/// load and every run-end digest checksums whole records, some of them
+/// megabytes long, so the checksum sits on the serving path.
 uint32_t Crc32c(std::string_view bytes);
 
 /// Incremental form: feeds `bytes` into a running checksum previously

@@ -1,6 +1,6 @@
 #include "platform/shared_market.h"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -38,10 +38,16 @@ Status DecodeRngState(Decoder& d, Random::State* state) {
   return d.GetDouble(&state->cached_normal);
 }
 
-/// Checks a repetition price entering the market. Weight sums and the
-/// binary search over their prefixes assume every weight is finite and
-/// non-negative, so a curve that maps the price outside that range is
-/// refused before the price can be posted.
+/// One weight unit, and units per unit of curve rate (the grid of the
+/// determinism contract). Multiplying by either is exact.
+constexpr double kUnitWeight = 0x1p-20;
+constexpr double kUnitsPerWeight = 0x1p20;
+
+/// Checks a repetition price entering the market. Its weight must round
+/// to a whole number of units that the int64 sums can hold, and to 0 only
+/// for a zero rate, so a curve rate outside {0} and [half a unit,
+/// kMaxSharedWeight] (NaN included) is refused before the price can be
+/// posted.
 Status CheckRepPrice(const PriceRateCurve& curve, int price) {
   if (price < 1) {
     return InvalidArgumentError(
@@ -49,13 +55,16 @@ Status CheckRepPrice(const PriceRateCurve& curve, int price) {
         std::to_string(price));
   }
   const double weight = curve.Rate(static_cast<double>(price));
-  if (!(weight >= 0.0) || !std::isfinite(weight)) {
+  if (!(weight == 0.0 ||
+        (weight >= 0.5 * kUnitWeight && weight <= kMaxSharedWeight))) {
     return InvalidArgumentError(
         "SharedMarket: curve rate " + std::to_string(weight) + " at price " +
-        std::to_string(price) + " is negative or not finite");
+        std::to_string(price) + " is neither 0 nor in [2^-21, 2^20]");
   }
   return OkStatus();
 }
+
+constexpr size_t LowBit(size_t i) { return i & (~i + 1); }
 
 }  // namespace
 
@@ -100,32 +109,80 @@ struct SharedMarket::SharedJob {
   /// Per slot of `open`: the task id, ascending; a dense copy so lookups
   /// search 8-byte keys instead of whole tasks.
   std::vector<TaskId> ids;  // HTUNE_TRANSIENT: rebuilt from tasks on restore
-  /// Per slot of `open`: curve->Rate(current price) while the task is on
-  /// hold, +0.0 while it is processed or a tombstone.
-  std::vector<double> hold;  // HTUNE_TRANSIENT: rebuilt from tasks on restore
-  /// prefix[i] = hold[0] + ... + hold[i], summed left to right; valid
-  /// below `stale_from`.
-  std::vector<double> prefix;  // HTUNE_TRANSIENT: RecomputeJobWeight on restore
-  /// Lowest slot whose hold changed since the last RecomputeJobWeight.
-  size_t stale_from = 0;  // HTUNE_TRANSIENT: restore recomputes from slot 0
+  /// Per slot of `open`: the weight units of the current price while the
+  /// task is on hold, 0 while it is processed or a tombstone.
+  std::vector<int64_t> hold;  // HTUNE_TRANSIENT: rebuilt from tasks on restore
+  /// Fenwick tree over `hold`, 1-based: tree[i] sums the slots
+  /// [i - LowBit(i), i). tree[0] is unused.
+  std::vector<int64_t> tree;  // HTUNE_TRANSIENT: BuildTree on restore
+  /// Sum of `hold`.
+  int64_t total = 0;  // HTUNE_TRANSIENT: BuildTree on restore
   size_t tombstones = 0;  // HTUNE_TRANSIENT: restore leaves no tombstones
-  /// prefix.back() (0.0 with no slots) as of the last RecomputeJobWeight.
-  double total_weight = 0.0;  // HTUNE_TRANSIENT: RecomputeJobWeight on restore
   std::vector<TraceEvent> trace;
 
   explicit SharedJob(uint64_t job_id, uint64_t seed)
-      : id(job_id), rng(seed) {}
+      : id(job_id), rng(seed), tree(1, 0) {}
 
   size_t OpenCount() const { return open.size() - tombstones; }
 
-  void SetHold(size_t slot, double weight) {
-    hold[slot] = weight;
-    stale_from = std::min(stale_from, slot);
+  /// The job's total weight; exact while the total is below 2^53 units.
+  double Weight() const { return static_cast<double>(total) * kUnitWeight; }
+
+  /// Adds a slot holding `units` behind the last one, in O(log n): the new
+  /// node sums its own slot and the nodes it covers.
+  void Append(int64_t units) {
+    hold.push_back(units);
+    const size_t node = hold.size();
+    int64_t sum = units;
+    for (size_t child = node - 1; child > node - LowBit(node);
+         child -= LowBit(child)) {
+      sum += tree[child];
+    }
+    tree.push_back(sum);
+    total += units;
   }
 
-  /// Drops the tombstones. Removing +0.0 terms from a sum of non-negative
-  /// weights leaves every remaining partial sum's bits unchanged, so the
-  /// selection a compacted job makes is the one it made before.
+  void SetHold(size_t slot, int64_t units) {
+    const int64_t delta = units - hold[slot];
+    hold[slot] = units;
+    total += delta;
+    for (size_t node = slot + 1; node < tree.size(); node += LowBit(node)) {
+      tree[node] += delta;
+    }
+  }
+
+  /// Rebuilds `tree` and `total` from `hold` in O(n).
+  void BuildTree() {
+    tree.assign(hold.size() + 1, 0);
+    total = 0;
+    for (size_t node = 1; node < tree.size(); ++node) {
+      tree[node] += hold[node - 1];
+      total += hold[node - 1];
+      const size_t parent = node + LowBit(node);
+      if (parent < tree.size()) {
+        tree[parent] += tree[node];
+      }
+    }
+  }
+
+  /// The first slot whose prefix sum of `hold` exceeds `target` (>= 0),
+  /// or hold.size() if none does, by Fenwick descent. Weights are
+  /// non-negative, so prefixes ascend and a 0 slot is never first.
+  size_t FirstAbove(int64_t target) const {
+    size_t node = 0;
+    for (size_t step = std::bit_floor(hold.size()); step > 0; step >>= 1) {
+      if (node + step < tree.size() && tree[node + step] <= target) {
+        node += step;
+        target -= tree[node];
+      }
+    }
+    return node;
+  }
+
+  /// Drops the tombstones. Their units are 0 and integer sums do not
+  /// depend on order, so every remaining prefix and the total keep their
+  /// values, and the selection a compacted job makes is the one it made
+  /// before.
   void Compact() {
     size_t live = 0;
     for (size_t slot = 0; slot < open.size(); ++slot) {
@@ -142,9 +199,8 @@ struct SharedMarket::SharedJob {
     open.erase(open.begin() + static_cast<std::ptrdiff_t>(live), open.end());
     ids.resize(live);
     hold.resize(live);
-    prefix.resize(live);
     tombstones = 0;
-    stale_from = 0;
+    BuildTree();
   }
 };
 
@@ -235,18 +291,9 @@ Status SharedMarket::AddJob(uint64_t job_id, uint64_t seed) {
   return OkStatus();
 }
 
-void SharedMarket::RecomputeJobWeight(SharedJob& job) {
-  // Resumes the canonical left-to-right sum at the lowest changed slot.
-  // Every prefix below it is already the partial sum a full loop would
-  // produce, so the result has the bits of re-summing the whole job.
-  const size_t slots = job.hold.size();
-  double total = job.stale_from == 0 ? 0.0 : job.prefix[job.stale_from - 1];
-  for (size_t slot = job.stale_from; slot < slots; ++slot) {
-    total += job.hold[slot];
-    job.prefix[slot] = total;
-  }
-  job.stale_from = slots;
-  job.total_weight = total;
+int64_t SharedMarket::WeightUnits(int price) const {
+  return static_cast<int64_t>(std::llround(
+      config_.curve->Rate(static_cast<double>(price)) * kUnitsPerWeight));
 }
 
 void SharedMarket::Record(SharedJob& job, const TraceEvent& event) {
@@ -278,6 +325,11 @@ StatusOr<TaskId> SharedMarket::PostTask(uint64_t job_id,
     return InvalidArgumentError(
         "SharedMarket: true_answer must name one of >= 2 options");
   }
+  if (open_tasks_ + 1 >= kMaxOpenSharedTasks) {
+    return FailedPreconditionError(
+        "SharedMarket: a market holds fewer than " +
+        std::to_string(kMaxOpenSharedTasks) + " open tasks");
+  }
   SharedTask task;
   task.id = job->next_task++;
   task.rep_prices = rep_prices;
@@ -290,10 +342,7 @@ StatusOr<TaskId> SharedMarket::PostTask(uint64_t job_id,
   task.current_posted_time = now_;
   job->open.push_back(std::move(task));
   job->ids.push_back(job->open.back().id);
-  job->hold.push_back(0.0);
-  job->prefix.push_back(0.0);
-  job->SetHold(job->open.size() - 1,
-               config_.curve->Rate(static_cast<double>(rep_prices.front())));
+  job->Append(WeightUnits(rep_prices.front()));
   ++open_tasks_;
   ++counts_.tasks_posted;
   return job->open.back().id;
@@ -328,17 +377,16 @@ Status SharedMarket::Reprice(uint64_t job_id, TaskId task_id, int new_price) {
   }
   if (task->on_hold) {
     job->SetHold(static_cast<size_t>(task - job->open.data()),
-                 config_.curve->Rate(static_cast<double>(new_price)));
+                 WeightUnits(new_price));
   }
   ++counts_.reprices;
   return OkStatus();
 }
 
-double SharedMarket::TotalPostedWeight() {
+double SharedMarket::TotalPostedWeight() const {
   double total = 0.0;
-  for (SharedJob& job : jobs_) {
-    RecomputeJobWeight(job);
-    total += job.total_weight;
+  for (const SharedJob& job : jobs_) {
+    total += job.Weight();
   }
   return total;
 }
@@ -368,33 +416,34 @@ void SharedMarket::StepArrival() {
   double cumulative = 0.0;
   SharedJob* last_live = nullptr;
   for (SharedJob& job : jobs_) {
-    if (job.total_weight <= 0.0) {
+    const double weight = job.Weight();
+    if (weight <= 0.0) {
       continue;
     }
     last_live = &job;
-    if (threshold < cumulative + job.total_weight) {
+    if (threshold < cumulative + weight) {
       selected_job = &job;
       local = threshold - cumulative;
       break;
     }
-    cumulative += job.total_weight;
+    cumulative += weight;
   }
   if (selected_job == nullptr) {
     selected_job = last_live;
-    local = selected_job->total_weight;
+    local = selected_job->Weight();
   }
 
-  // The selected slot is the first whose running sum exceeds `local`; a
-  // zero-weight slot never raises the sum, so it is never first. The
-  // fallback is the first slot reaching the job's total: the last on-hold
-  // task whose weight registered in the sum.
-  const std::vector<double>& prefix = selected_job->prefix;
-  auto pick = std::upper_bound(prefix.begin(), prefix.end(), local);
-  if (pick == prefix.end()) {
-    pick = std::lower_bound(prefix.begin(), prefix.end(), prefix.back());
+  // The selected slot is the first whose prefix, read as a weight,
+  // exceeds `local`. Prefixes are whole units, and scaling by 2^20 is
+  // exact, so that is the first prefix above floor(local * 2^20); `local`
+  // is non-negative, so the cast floors. The fallback is the first slot
+  // reaching the job's total: the last on-hold task with a weight.
+  size_t selected =
+      selected_job->FirstAbove(static_cast<int64_t>(local * kUnitsPerWeight));
+  if (selected == selected_job->hold.size()) {
+    selected = selected_job->FirstAbove(selected_job->total - 1);
   }
-  const size_t selected = static_cast<size_t>(pick - prefix.begin());
-  HTUNE_CHECK(selected_job->hold[selected] > 0.0);
+  HTUNE_CHECK(selected_job->hold[selected] > 0);
 
   // Acceptance: the worker takes this repetition. Answer decided now from
   // the job's private stream (error Bernoulli, then the wrong-option pick
@@ -448,7 +497,7 @@ void SharedMarket::ApplyCompletion(const MarketEvent& event) {
     Record(*job, {now_, TraceEventKind::kTaskCompleted, 0, task->id,
                   rep_index});
     job->completed.push_back(std::move(task->outcome));
-    // The slot's hold is already +0.0 (processing); it becomes a tombstone
+    // The slot's hold is already 0 (processing); it becomes a tombstone
     // and the job compacts once tombstones fill over half its slots.
     task->completed = true;
     ++job->tombstones;
@@ -460,8 +509,7 @@ void SharedMarket::ApplyCompletion(const MarketEvent& event) {
     task->on_hold = true;
     task->current_posted_time = now_;
     job->SetHold(static_cast<size_t>(task - job->open.data()),
-                 config_.curve->Rate(static_cast<double>(
-                     task->rep_prices[task->RepsDone()])));
+                 WeightUnits(task->rep_prices[task->RepsDone()]));
   }
 }
 
@@ -695,6 +743,11 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
 
     uint64_t task_count = 0;
     HTUNE_RETURN_IF_ERROR(d.GetU64(&task_count));
+    if (task_count >= kMaxOpenSharedTasks - open_tasks) {
+      return InvalidArgumentError(
+          "SharedMarket: a market holds fewer than " +
+          std::to_string(kMaxOpenSharedTasks) + " open tasks");
+    }
     if (task_count > d.remaining()) {
       return InvalidArgumentError("SharedMarket: corrupt open-task count");
     }
@@ -726,16 +779,13 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
       for (const int price : task.rep_prices) {
         HTUNE_RETURN_IF_ERROR(CheckRepPrice(*config_.curve, price));
       }
-      // The hold weight is derived state: recompute from the curve, the
+      // The hold units are derived state: recompute from the curve, the
       // same call a continuously-running engine made at the last change.
-      job.hold.push_back(task.on_hold
-                             ? config_.curve->Rate(static_cast<double>(
-                                   task.rep_prices[task.RepsDone()]))
-                             : 0.0);
+      job.hold.push_back(
+          task.on_hold ? WeightUnits(task.rep_prices[task.RepsDone()]) : 0);
       job.ids.push_back(task.id);
       job.open.push_back(std::move(task));
     }
-    job.prefix.resize(job.open.size());
     open_tasks += job.open.size();
 
     uint64_t completed_count = 0;
@@ -750,7 +800,7 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
       job.completed.push_back(std::move(outcome));
     }
     HTUNE_RETURN_IF_ERROR(DecodeTraceEvents(d, job.trace));
-    RecomputeJobWeight(job);
+    job.BuildTree();
     jobs.push_back(std::move(job));
   }
   HTUNE_RETURN_IF_ERROR(d.ExpectDone());

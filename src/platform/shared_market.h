@@ -1,6 +1,7 @@
 #ifndef HTUNE_PLATFORM_SHARED_MARKET_H_
 #define HTUNE_PLATFORM_SHARED_MARKET_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -49,6 +50,12 @@ struct SharedMarketCounts {
   uint64_t reprices = 0;
 };
 
+/// Largest weight (curve rate) a posted repetition may carry, 2^20.
+inline constexpr double kMaxSharedWeight = 0x1p20;
+/// A market holds fewer open tasks than this, 2^22. With kMaxSharedWeight
+/// it bounds every sum of weight units below 2^62.
+inline constexpr size_t kMaxOpenSharedTasks = size_t{1} << 22;
+
 /// Multi-job discrete-event engine: competing tuning jobs post repetitions
 /// onto ONE marketplace whose single Poisson worker stream is split across
 /// them by acceptance thinning (SharedArrivalStream). Each arriving worker
@@ -60,24 +67,29 @@ struct SharedMarketCounts {
 /// Determinism contract (the platform service's bitwise-resume guarantee
 /// is built on it):
 ///  - Candidate order is jobs in ascending id, then each job's open tasks
-///    in posting order (= ascending task id). Every weight is finite and
-///    non-negative: PostTask and Reprice refuse prices the curve maps
-///    elsewhere.
-///  - Each job keeps a dense per-slot weight (the task's weight while on
-///    hold, +0.0 otherwise) and its prefix sums, accumulated left to
-///    right. A change re-sums only from the lowest changed slot onward;
-///    every prefix below that slot is already the partial sum a full loop
-///    would produce, so each prefix, and the job total, is bit-for-bit the
-///    full left-to-right sum of the current weights. Completed tasks stay
-///    as +0.0 tombstones until they fill over half the slots, then the
-///    job compacts. Adding +0.0 leaves a non-negative sum's bits
-///    unchanged, so tombstones and in-flight slots never move a partial
-///    sum, and a restored engine, which holds no tombstones, lands on
-///    identical bits.
-///  - Selection takes the job by a walk over job totals, then the task by
-///    binary search for the first prefix above the job-local coordinate.
-///    When float rounding puts the coordinate on the job's total, it takes
-///    the first slot whose prefix reaches that total.
+///    in posting order (= ascending task id).
+///  - Weights live on a grid of 2^-20: a repetition posted at `price`
+///    weighs llround(curve->Rate(price) * 2^20) integer units. PostTask,
+///    Reprice and RestoreState refuse a price whose rate is negative, not
+///    finite, above kMaxSharedWeight, or positive but below half a unit
+///    (it would round to zero and never be accepted). With fewer than
+///    kMaxOpenSharedTasks open tasks every unit sum stays below 2^62, so
+///    int64 sums never overflow.
+///  - Each job keeps its per-slot units (0 while a task is processed or a
+///    tombstone) in a Fenwick tree and an exact int64 total. Integer sums
+///    do not depend on their order, so the tree, a compaction and a
+///    restored engine (which holds no tombstones) all give the same
+///    totals and prefixes; no sum order needs pinning.
+///  - Selection: W is the left-to-right double sum over jobs of their
+///    totals, each read as units * 2^-20; the threshold and the walk over
+///    jobs are double arithmetic on those totals. Inside the chosen job
+///    the task is the first slot whose unit prefix exceeds
+///    floor(local * 2^20), found by Fenwick descent; when rounding puts
+///    the local coordinate on the job's total, it is the first slot whose
+///    prefix reaches the total. While W stays below 2^33 every job total
+///    and every partial sum of W is exact, so this is bit for bit the
+///    selection a float left-to-right walk over the same grid weights
+///    makes.
 ///  - RNG streams: the shared stream owns the arrival clock and selection
 ///    uniforms (two draws per arrival, independent of who competes); each
 ///    job owns a private stream for its answer-error and processing-time
@@ -100,16 +112,18 @@ class SharedMarket {
   Status AddJob(uint64_t job_id, uint64_t seed);
 
   /// Posts one task for `job_id`: one sequential repetition per entry of
-  /// `rep_prices` (each >= 1, with curve->Rate(price) finite and
-  /// non-negative), processed at `processing_rate` once accepted. Returns
-  /// the job-local task id (1-based, dense).
+  /// `rep_prices` (each >= 1, with curve->Rate(price) in the weight range
+  /// of the determinism contract), processed at `processing_rate` once
+  /// accepted. Returns the job-local task id (1-based, dense).
+  /// FailedPrecondition if the market already holds kMaxOpenSharedTasks - 1
+  /// open tasks.
   StatusOr<TaskId> PostTask(uint64_t job_id, const std::vector<int>& rep_prices,
                             double processing_rate, int true_answer = 0,
                             int num_options = 2);
 
   /// Changes the payment of the current and all future repetitions of an
   /// open task. InvalidArgument for a price below 1 or one whose curve
-  /// rate is negative or not finite, NotFound for unknown ids,
+  /// rate is outside the weight range, NotFound for unknown ids,
   /// FailedPrecondition once the task completed.
   Status Reprice(uint64_t job_id, TaskId task, int new_price);
 
@@ -126,9 +140,8 @@ class SharedMarket {
   const SharedMarketCounts& Counts() const { return counts_; }
 
   /// Total posted weight W (left-to-right over per-job totals) — the
-  /// saturation signal controllers feed into DilutedCurve. Brings stale
-  /// per-job prefix sums up to date first, hence non-const.
-  double TotalPostedWeight();
+  /// saturation signal controllers feed into DilutedCurve.
+  double TotalPostedWeight() const;
 
   /// Per-job views. All return NotFound/CHECK-fail free lookups: the job
   /// must exist (CHECK) since sessions address only jobs they created.
@@ -169,9 +182,8 @@ class SharedMarket {
   SharedTask* FindOpenTask(SharedJob& job, TaskId task);
   const SharedTask* FindOpenTask(const SharedJob& job, TaskId task) const;
 
-  /// Brings the job's prefix sums and total up to date, re-summing left
-  /// to right from the lowest slot changed since the last call.
-  void RecomputeJobWeight(SharedJob& job);
+  /// The integer weight units of a repetition posted at `price`.
+  int64_t WeightUnits(int price) const;
   void Record(SharedJob& job, const TraceEvent& event);
   void StepArrival();
   void ApplyCompletion(const MarketEvent& event);

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -36,6 +38,66 @@ TEST(Crc32cTest, ExtendComposes) {
   for (size_t split = 0; split <= data.size(); ++split) {
     const uint32_t head = Crc32c(data.substr(0, split));
     EXPECT_EQ(ExtendCrc32c(head, data.substr(split)), Crc32c(data));
+  }
+}
+
+// Bit-at-a-time CRC-32C straight from the definition (reflected
+// polynomial 0x82F63B78), independent of any table.
+uint32_t ReferenceCrc32c(std::string_view bytes) {
+  uint32_t state = ~0u;
+  for (const char c : bytes) {
+    state ^= static_cast<uint8_t>(c);
+    for (int bit = 0; bit < 8; ++bit) {
+      state = (state >> 1) ^ (0x82F63B78u & (0u - (state & 1u)));
+    }
+  }
+  return ~state;
+}
+
+std::string RandomBytes(size_t size, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::string bytes(size, '\0');
+  for (char& c : bytes) {
+    c = static_cast<char>(rng() & 0xFFu);
+  }
+  return bytes;
+}
+
+// Short buffers at every start offset (unaligned reads) and every split
+// point: the eight-byte loop, its byte-wise tail and ExtendCrc32c's
+// composition all agree with the reference.
+TEST(Crc32cTest, MatchesBitwiseReferenceOnShortBuffers) {
+  const std::string pool = RandomBytes(64 + 8, 17);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 64; ++length) {
+      const std::string_view data =
+          std::string_view(pool).substr(offset, length);
+      const uint32_t expected = ReferenceCrc32c(data);
+      ASSERT_EQ(Crc32c(data), expected) << offset << "+" << length;
+      for (size_t split = 0; split <= length; ++split) {
+        ASSERT_EQ(ExtendCrc32c(Crc32c(data.substr(0, split)),
+                               data.substr(split)),
+                  expected)
+            << offset << "+" << length << " split " << split;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, MatchesBitwiseReferenceOnOneMebibyte) {
+  constexpr size_t kSize = size_t{1} << 20;
+  const std::string pool = RandomBytes(kSize + 8, 29);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const std::string_view data = std::string_view(pool).substr(offset, kSize);
+    const uint32_t expected = ReferenceCrc32c(data);
+    ASSERT_EQ(Crc32c(data), expected) << offset;
+    for (const size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{9},
+                               kSize / 2 + 3, kSize - 1, kSize}) {
+      ASSERT_EQ(
+          ExtendCrc32c(Crc32c(data.substr(0, split)), data.substr(split)),
+          expected)
+          << offset << " split " << split;
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -330,23 +332,19 @@ TEST(SharedMarketTest, EventQueueImplementationsAgreeBitwise) {
   EXPECT_EQ(run(EventQueueImpl::kCalendar), run(EventQueueImpl::kBinaryHeap));
 }
 
-// Golden transcript under non-integer weights. Every other test here uses
-// Rate(p) = p, whose integer weights sum to the same bits in any order, so
-// only this test can catch a reordered or re-associated weight sum: it pins
-// a CRC32C of the total posted weight at each checkpoint, the mid-run
-// snapshot, the final state and every job's trace and outcomes. The run
-// covers mid-run reprices (on-hold and in-flight tasks), tasks posted
-// after completions, over half of a job's tasks completing before the
-// capture, and a capture/restore that must continue bitwise.
-//
-// The constant was recorded from the engine whose selection walk re-summed
-// every open task on each event. To print the digest after an intentional
-// contract change (there should be none), run with HTUNE_GOLDEN_PRINT=1.
-TEST(SharedMarketTest, NonIntegerWeightTranscriptIsPinned) {
+// Golden transcript: a CRC32C of the total posted weight at each
+// checkpoint, the mid-run snapshot, the final state and every job's trace
+// and outcomes. The run covers mid-run reprices (on-hold and in-flight
+// tasks), tasks posted after completions, over half of a job's tasks
+// completing before the capture (so jobs compact), and a capture/restore
+// that must continue bitwise. To print a digest after an intentional
+// contract change, run with HTUNE_GOLDEN_PRINT=1.
+void PinnedTranscript(std::shared_ptr<const PriceRateCurve> curve,
+                      const char* name, uint32_t* crc) {
   SharedMarketConfig config;
   config.worker_arrival_rate = 60.0;
   config.worker_error_prob = 0.15;
-  config.curve = std::make_shared<LogCurve>(7.3);
+  config.curve = std::move(curve);
   config.seed = 2027;
   const std::vector<uint64_t> jobs = {2, 3, 7, 11};
 
@@ -438,11 +436,86 @@ TEST(SharedMarketTest, NonIntegerWeightTranscriptIsPinned) {
     }
     digest.PutI64(original.TotalSpent(job));
   }
-  const uint32_t crc = Crc32c(digest.Release());
+  *crc = Crc32c(digest.Release());
   if (std::getenv("HTUNE_GOLDEN_PRINT") != nullptr) {
-    std::printf("GOLDEN NonIntegerWeightTranscript: 0x%08x\n", crc);
+    std::printf("GOLDEN %s: 0x%08x\n", name, *crc);
   }
-  EXPECT_EQ(crc, 0xbc2c0edfu);
+}
+
+// Rate(p) = 0.25 p + 0.5: fractional weights that lie on the 2^-20 grid,
+// so grid units and a float left-to-right sum agree exactly. The constant
+// was recorded from the engine that summed float weights left to right
+// and re-summed each job's changed suffix, and must not move.
+TEST(SharedMarketTest, OnGridFractionalWeightTranscriptIsPinned) {
+  uint32_t crc = 0;
+  PinnedTranscript(std::make_shared<LinearCurve>(0.25, 0.5),
+                   "OnGridFractionalWeightTranscript", &crc);
+  EXPECT_EQ(crc, 0xec765d19u);
+}
+
+// LogCurve(7.3) weights are off the grid and get quantized to whole
+// units, so this transcript differs from the float engine's, 0xbc2c0edf.
+TEST(SharedMarketTest, NonIntegerWeightTranscriptIsPinned) {
+  uint32_t crc = 0;
+  PinnedTranscript(std::make_shared<LogCurve>(7.3),
+                   "NonIntegerWeightTranscript", &crc);
+  EXPECT_EQ(crc, 0x948ab3cdu);
+}
+
+// Integer weight sums do not depend on their order: an engine that
+// compacted its tombstones and an engine restored from its snapshot (which
+// never held them) report bit-equal totals and bytes under off-grid
+// weights, and continue identically.
+TEST(SharedMarketTest, WeightTotalsAreOrderFree) {
+  SharedMarketConfig config = BaseConfig();
+  config.curve = std::make_shared<LogCurve>(7.3);
+  config.worker_arrival_rate = 20.0;
+  SharedMarket compacted(config);
+  ASSERT_TRUE(compacted.AddJob(1, 91).ok());
+  ASSERT_TRUE(compacted.AddJob(4, 94).ok());
+  constexpr int kTasks = 60;
+  for (int t = 0; t < kTasks; ++t) {
+    ASSERT_TRUE(compacted.PostTask(1, {1 + t % 7, 2}, 4.0).ok());
+    ASSERT_TRUE(compacted.PostTask(4, {1 + t % 5}, 4.0).ok());
+  }
+  const std::vector<TaskId> early = compacted.OpenTaskIds(1);
+  for (size_t k = 0; k < early.size(); k += 5) {
+    ASSERT_TRUE(compacted.Reprice(1, early[k], 9).ok());
+  }
+  // Over half of job 1's tasks complete, so it compacted at least once.
+  for (double clock = 0.1; compacted.CompletedOutcomes(1).size() * 2 <= kTasks;
+       clock += 0.1) {
+    compacted.RunUntil(clock);
+    ASSERT_LT(clock, 1e4) << "market stalled";
+  }
+  ASSERT_GT(compacted.OpenTaskCount(1), 0u);
+  for (int t = 0; t < 10; ++t) {
+    ASSERT_TRUE(compacted.PostTask(1, {3 + t % 4}, 4.0).ok());
+  }
+
+  const std::string snapshot = compacted.CaptureState();
+  SharedMarket restored(config);
+  ASSERT_TRUE(restored.RestoreState(snapshot).ok());
+  EXPECT_EQ(restored.CaptureState(), snapshot);
+  EXPECT_EQ(std::bit_cast<uint64_t>(restored.TotalPostedWeight()),
+            std::bit_cast<uint64_t>(compacted.TotalPostedWeight()));
+  EXPECT_GT(compacted.TotalPostedWeight(), 0.0);
+
+  for (SharedMarket* market : {&compacted, &restored}) {
+    const std::vector<TaskId> open = market->OpenTaskIds(4);
+    for (size_t k = 0; k < open.size(); k += 3) {
+      ASSERT_TRUE(market->Reprice(4, open[k], 8).ok());
+    }
+    ASSERT_TRUE(market->RunToCompletion().ok());
+  }
+  EXPECT_EQ(restored.CaptureState(), compacted.CaptureState());
+  for (const uint64_t job : {1u, 4u}) {
+    Encoder left;
+    Encoder right;
+    EncodeTraceEvents(compacted.Trace(job), left);
+    EncodeTraceEvents(restored.Trace(job), right);
+    EXPECT_EQ(left.Release(), right.Release()) << job;
+  }
 }
 
 // Completed tasks leave every view at once, however the engine stores
@@ -544,6 +617,85 @@ TEST(SharedMarketTest, RejectsPricesWithNegativeOrNonFiniteWeight) {
   ASSERT_TRUE(donor.PostTask(1, {2, 6}, 1.0).ok());
   EXPECT_EQ(SharedMarket(config).RestoreState(donor.CaptureState()).code(),
             StatusCode::kInvalidArgument);
+}
+
+// The weight range is exact: kMaxSharedWeight is the largest weight, half
+// a grid unit the smallest positive one (it rounds up to one unit), and
+// anything past either edge would overflow the int64 sums or round to a
+// weight that is never accepted.
+TEST(SharedMarketTest, WeightRangeEdgesAreExact) {
+  constexpr double kHalfUnit = 0x1p-21;
+  SharedMarketConfig config = BaseConfig();
+  config.curve = std::make_shared<FunctionCurve>(
+      [](double price) {
+        if (price == 2.0) return kMaxSharedWeight;
+        if (price == 3.0) return std::nextafter(kMaxSharedWeight, 1e300);
+        if (price == 4.0) return kHalfUnit;
+        if (price == 5.0) return std::nextafter(kHalfUnit, 0.0);
+        if (price == 6.0) return 0.0;
+        return 1.0;
+      },
+      "edges of the weight range");
+  SharedMarket market(config);
+  ASSERT_TRUE(market.AddJob(1, 83).ok());
+  for (const int bad : {3, 5}) {
+    EXPECT_EQ(market.PostTask(1, {bad}, 1.0).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_EQ(market.Counts().tasks_posted, 0u);
+
+  auto top = market.PostTask(1, {2}, 1.0);
+  ASSERT_TRUE(top.ok());
+  EXPECT_EQ(market.TotalPostedWeight(), kMaxSharedWeight);
+  auto bottom = market.PostTask(1, {4}, 1.0);
+  ASSERT_TRUE(bottom.ok());
+  EXPECT_EQ(market.TotalPostedWeight(), kMaxSharedWeight + 0x1p-20);
+  ASSERT_TRUE(market.PostTask(1, {6}, 1.0).ok());
+  EXPECT_EQ(market.TotalPostedWeight(), kMaxSharedWeight + 0x1p-20);
+
+  for (const int bad : {3, 5}) {
+    EXPECT_EQ(market.Reprice(1, *bottom, bad).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  ASSERT_TRUE(market.Reprice(1, *top, 4).ok());
+  EXPECT_EQ(market.TotalPostedWeight(), 2 * 0x1p-20);
+}
+
+// A market holds fewer than kMaxOpenSharedTasks open tasks, so a snapshot
+// claiming that many is refused before its tasks are decoded.
+TEST(SharedMarketTest, RestoreRefusesTheOpenTaskCap) {
+  SharedMarket donor(BaseConfig());
+  ASSERT_TRUE(donor.AddJob(1, 84).ok());
+  ASSERT_TRUE(donor.PostTask(1, {2}, 1.0).ok());
+  const std::string valid = donor.CaptureState();
+  // The job's next_task (2), spent (0) and open-task count (1).
+  Encoder pattern;
+  pattern.PutU64(2);
+  pattern.PutI64(0);
+  pattern.PutU64(1);
+  const size_t at = valid.find(pattern.Release());
+  ASSERT_NE(at, std::string::npos);
+  auto with_count = [&](uint64_t count) {
+    Encoder patch;
+    patch.PutU64(count);
+    std::string bytes = valid;
+    bytes.replace(at + 16, 8, patch.Release());
+    return bytes;
+  };
+  ASSERT_EQ(with_count(1), valid);
+  const Status capped =
+      SharedMarket(BaseConfig()).RestoreState(with_count(kMaxOpenSharedTasks));
+  EXPECT_EQ(capped.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(capped.message().find("open tasks"), std::string::npos)
+      << capped.message();
+  // One below the cap passes the cap and fails as a corrupt count.
+  const Status corrupt = SharedMarket(BaseConfig())
+                             .RestoreState(with_count(kMaxOpenSharedTasks - 1));
+  EXPECT_EQ(corrupt.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(corrupt.message().find("fewer than"), std::string::npos)
+      << corrupt.message();
 }
 
 TEST(SharedMarketTest, RestoreRejectsCorruptBytes) {
