@@ -24,14 +24,6 @@ constexpr size_t kFrameOverhead = 4 + 1 + 4;  // length + type + crc
 // near this.
 constexpr uint32_t kMaxPayload = 1u << 30;
 
-std::string EncodeHeader() {
-  std::string header(kJournalMagic);
-  Encoder version;
-  version.PutU32(kJournalVersion);
-  header += version.bytes();
-  return header;
-}
-
 std::string ParentDirOf(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   if (slash == std::string::npos) {
@@ -61,6 +53,33 @@ Status SyncParentDir(const std::string& path) {
                          " failed: " + detail);
   }
   ::close(fd);
+  return OkStatus();
+}
+
+/// Writes all of `bytes` to `fd`, which is open on `path`: EINTR restarts
+/// the write and a partial write resumes from the persisted prefix. Any
+/// other failure is an explicit status naming how many bytes reached the
+/// file, so a short write is never reported as success. The caller closes
+/// `fd` either way.
+Status WriteAll(int fd, std::string_view bytes, const std::string& path) {
+  size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n > 0) {
+      written += static_cast<size_t>(n);
+      continue;
+    }
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    const std::string detail =
+        n < 0 ? std::strerror(errno) : "write returned 0";
+    return InternalError("journal: short write to " + path + ": " +
+                         std::to_string(written) + " of " +
+                         std::to_string(bytes.size()) +
+                         " bytes persisted: " + detail);
+  }
   return OkStatus();
 }
 
@@ -139,28 +158,9 @@ Status FileJournalStorage::Append(std::string_view bytes) {
     return InternalError("journal: cannot open " + path_ +
                          " for append: " + std::strerror(errno));
   }
-  // Write loop: EINTR restarts, a partial write resumes from the persisted
-  // prefix, and any other failure is an explicit short-write status — the
-  // old fwrite path could fold a partial write and a flush error into one
-  // ambiguous result.
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n > 0) {
-      written += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    const std::string detail =
-        n < 0 ? std::strerror(errno) : "write returned 0";
+  if (const Status written = WriteAll(fd, bytes, path_); !written.ok()) {
     ::close(fd);
-    return InternalError("journal: short append to " + path_ + ": " +
-                         std::to_string(written) + " of " +
-                         std::to_string(bytes.size()) +
-                         " bytes persisted: " + detail);
+    return written;
   }
   if (::close(fd) != 0) {
     return InternalError("journal: close after append to " + path_ +
@@ -172,15 +172,21 @@ Status FileJournalStorage::Append(std::string_view bytes) {
 Status FileJournalStorage::Truncate(uint64_t size) {
   struct stat st;
   if (::stat(path_.c_str(), &st) != 0) {
-    // Nothing on disk: truncating a fresh journal to 0 is a no-op.
-    return size == 0 ? OkStatus()
-                     : InternalError("journal: cannot stat " + path_);
+    // Nothing on disk: truncating a fresh journal to 0 is a no-op. Any
+    // other stat failure (ENOTDIR, EIO, EACCES) is a broken path, not an
+    // absent journal.
+    if (errno == ENOENT && size == 0) {
+      return OkStatus();
+    }
+    return InternalError("journal: cannot stat " + path_ + ": " +
+                         std::strerror(errno));
   }
   if (static_cast<uint64_t>(st.st_size) <= size) {
     return OkStatus();
   }
   if (::truncate(path_.c_str(), static_cast<off_t>(size)) != 0) {
-    return InternalError("journal: cannot truncate " + path_);
+    return InternalError("journal: cannot truncate " + path_ + ": " +
+                         std::strerror(errno));
   }
   return OkStatus();
 }
@@ -219,21 +225,9 @@ Status AtomicReplaceFile(const std::string& path, std::string_view bytes,
       return InternalError("journal: cannot create " + temp + ": " +
                            std::strerror(errno));
     }
-    size_t written = 0;
-    while (written < bytes.size()) {
-      const ssize_t n =
-          ::write(fd, bytes.data() + written, bytes.size() - written);
-      if (n > 0) {
-        written += static_cast<size_t>(n);
-        continue;
-      }
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      const std::string detail =
-          n < 0 ? std::strerror(errno) : "write returned 0";
+    if (const Status written = WriteAll(fd, bytes, temp); !written.ok()) {
       ::close(fd);
-      return InternalError("journal: short write to " + temp + ": " + detail);
+      return written;
     }
     if (::fsync(fd) != 0) {
       const std::string detail = std::strerror(errno);
@@ -283,6 +277,14 @@ Status CrashInjectingStorage::Append(std::string_view bytes) {
   return CrashStatus();
 }
 
+std::string EncodeJournalHeader(const JournalFormat& format) {
+  std::string header(format.magic);
+  Encoder version;
+  version.PutU32(format.version);
+  header += version.bytes();
+  return header;
+}
+
 std::string EncodeJournalRecord(JournalRecordType type,
                                 std::string_view payload) {
   Encoder frame;
@@ -296,34 +298,41 @@ std::string EncodeJournalRecord(JournalRecordType type,
   return bytes;
 }
 
-StatusOr<JournalContents> ScanJournal(std::string_view bytes) {
+StatusOr<JournalContents> ScanJournal(std::string_view bytes,
+                                      const JournalFormat& format) {
+  const auto bad_magic = [&format] {
+    const std::string name(format.name);
+    return InvalidArgumentError(name + ": not a " + name + " file (bad magic)");
+  };
   JournalContents contents;
+  contents.version = format.version;
   if (bytes.empty()) {
-    return contents;  // fresh journal
+    return contents;  // fresh log
   }
+  const std::string_view magic = format.magic;
   if (bytes.size() < kHeaderSize) {
     // A torn header write: nothing trustworthy, recover to empty — unless
     // the bytes do not even start like our magic, in which case this is not
     // our file and truncating it would destroy someone's data.
-    const size_t n = std::min(bytes.size(), kJournalMagic.size());
-    if (bytes.substr(0, n) != kJournalMagic.substr(0, n)) {
-      return InvalidArgumentError("journal: not a journal file (bad magic)");
+    const size_t n = std::min(bytes.size(), magic.size());
+    if (bytes.substr(0, n) != magic.substr(0, n)) {
+      return bad_magic();
     }
     contents.truncated_tail = true;
     return contents;
   }
-  if (bytes.substr(0, kJournalMagic.size()) != kJournalMagic) {
-    return InvalidArgumentError("journal: not a journal file (bad magic)");
+  if (bytes.substr(0, magic.size()) != magic) {
+    return bad_magic();
   }
   {
-    Decoder header(bytes.substr(kJournalMagic.size(), 4));
+    Decoder header(bytes.substr(magic.size(), 4));
     uint32_t version = 0;
     HTUNE_RETURN_IF_ERROR(header.GetU32(&version));
-    if (version != kJournalVersion) {
-      return InvalidArgumentError("journal: unsupported format version " +
+    if (version != format.version) {
+      return InvalidArgumentError(std::string(format.name) +
+                                  ": unsupported format version " +
                                   std::to_string(version));
     }
-    contents.version = version;
   }
   contents.valid_bytes = kHeaderSize;
 
@@ -348,8 +357,7 @@ StatusOr<JournalContents> ScanJournal(std::string_view bytes) {
     if (Crc32c(framed) != stored_crc) {
       break;  // bit-flipped record
     }
-    if (type < static_cast<uint8_t>(JournalRecordType::kRunStart) ||
-        type > static_cast<uint8_t>(JournalRecordType::kRunEnd)) {
+    if (type < 1 || type > format.last_record_type) {
       break;  // unknown record type: cannot trust anything after it
     }
     JournalRecord record;
@@ -364,6 +372,16 @@ StatusOr<JournalContents> ScanJournal(std::string_view bytes) {
   return contents;
 }
 
+void EndJournalPrefixAt(JournalContents* contents, size_t index) {
+  if (index >= contents->records.size()) {
+    return;
+  }
+  contents->valid_bytes =
+      index == 0 ? kHeaderSize : contents->records[index - 1].end_offset;
+  contents->records.resize(index);
+  contents->truncated_tail = true;
+}
+
 StatusOr<JournalContents> OpenJournal(JournalStorage& storage) {
   HTUNE_ASSIGN_OR_RETURN(const std::string bytes, storage.Load());
   HTUNE_ASSIGN_OR_RETURN(JournalContents contents, ScanJournal(bytes));
@@ -373,8 +391,10 @@ StatusOr<JournalContents> OpenJournal(JournalStorage& storage) {
   return contents;
 }
 
-JournalWriter::JournalWriter(JournalStorage* storage, uint64_t existing_bytes)
+JournalWriter::JournalWriter(JournalStorage* storage, uint64_t existing_bytes,
+                             const JournalFormat& format)
     : storage_(storage),
+      format_(format),
       header_written_(existing_bytes > 0),
       valid_bytes_(existing_bytes) {}
 
@@ -410,7 +430,7 @@ Status JournalWriter::Append(JournalRecordType type,
                              std::string_view payload) {
   HTUNE_OBS_SPAN("journal.append");
   if (!header_written_) {
-    HTUNE_RETURN_IF_ERROR(AppendWithRetry(EncodeHeader()));
+    HTUNE_RETURN_IF_ERROR(AppendWithRetry(EncodeJournalHeader(format_)));
     header_written_ = true;
   }
   const std::string record = EncodeJournalRecord(type, payload);

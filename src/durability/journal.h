@@ -130,12 +130,15 @@ using ReplaceFileHook = std::function<Status(std::string_view step)>;
 Status AtomicReplaceFile(const std::string& path, std::string_view bytes,
                          const ReplaceFileHook& hook = nullptr);
 
-/// Journal file layout:
-///   header:  "HTWJ" magic (4 bytes) + u32 LE format version
+/// Journal file layout, shared by every durable log in htune:
+///   header:  magic (4 bytes) + u32 LE format version
 ///   record:  u32 LE payload length | u8 type | payload | u32 LE CRC-32C
 /// The CRC covers the length, type, and payload bytes, so a corrupted
 /// length field cannot redirect the frame walk to a byte range that
-/// happens to checksum correctly against a different payload.
+/// happens to checksum correctly against a different payload. The work
+/// journals use the "HTWJ" magic and JournalRecordType; the fleet manifest
+/// (durability/manifest.h) is the same log under "HTFM" and its own
+/// record-type namespace.
 inline constexpr std::string_view kJournalMagic = "HTWJ";
 inline constexpr uint32_t kJournalVersion = 1;
 
@@ -164,8 +167,26 @@ enum class JournalRecordType : uint8_t {
 
 std::string_view JournalRecordTypeToString(JournalRecordType type);
 
+/// What distinguishes one log format from another: the header it opens
+/// with and the record types it may hold (1..last_record_type). The frame
+/// walk, the writer and the torn-tail contract are the same for all.
+struct JournalFormat {
+  /// Names the file kind in error messages ("journal", "manifest").
+  std::string_view name;
+  std::string_view magic;
+  uint32_t version = 0;
+  uint8_t last_record_type = 0;
+};
+
+/// The work journals: per-job controller journals and the service journal.
+inline constexpr JournalFormat kJournalFormat{
+    "journal", kJournalMagic, kJournalVersion,
+    static_cast<uint8_t>(JournalRecordType::kRunEnd)};
+
 /// One validated record read back from a journal.
 struct JournalRecord {
+  /// The frame's type byte. Logs of another format (the fleet manifest)
+  /// cast it to their own record-type enum.
   JournalRecordType type = JournalRecordType::kRunStart;
   std::string payload;
   /// Byte offset one past this record's frame — i.e. the journal size if
@@ -185,24 +206,35 @@ struct JournalContents {
   bool truncated_tail = false;
 };
 
+/// Encodes a log header: `format`'s magic + its u32 LE version.
+std::string EncodeJournalHeader(const JournalFormat& format);
+
 /// Encodes one framed record (length | type | payload | crc).
 std::string EncodeJournalRecord(JournalRecordType type,
                                 std::string_view payload);
 
-/// Scans raw journal bytes into validated records. An empty input is a
-/// fresh journal. A torn or bit-flipped record ends the valid prefix: that
-/// record and everything after it are reported as truncated, never an
-/// error — this is the WAL recovery contract. Only a present-but-wrong
-/// magic or an unsupported version is an error (the bytes are not ours to
-/// truncate).
-StatusOr<JournalContents> ScanJournal(std::string_view bytes);
+/// Scans raw log bytes of `format` into validated records. An empty input
+/// is a fresh log. A torn or bit-flipped record, or one whose type lies
+/// outside the format's namespace, ends the valid prefix: that record and
+/// everything after it are reported as truncated, never an error — this is
+/// the WAL recovery contract. Only a present-but-wrong magic or an
+/// unsupported version is an error (the bytes are not ours to truncate).
+StatusOr<JournalContents> ScanJournal(
+    std::string_view bytes, const JournalFormat& format = kJournalFormat);
+
+/// Ends the valid prefix of `contents` at the start of record `index`,
+/// dropping it and every later record — what the scanner itself does for a
+/// bad frame. For readers that validate payloads above the frame layer: a
+/// CRC-valid record they cannot decode is as untrustworthy as a torn one.
+void EndJournalPrefixAt(JournalContents* contents, size_t index);
 
 /// Loads, scans, and physically truncates the torn tail (if any) so the
 /// storage ends at a record boundary and appends go to a clean end.
 StatusOr<JournalContents> OpenJournal(JournalStorage& storage);
 
-/// Appends records to a storage, writing the header first on a fresh
-/// journal.
+/// Appends records to a storage, writing the format's header first on a
+/// fresh log. The one write path for every durable log: the work journals
+/// and the fleet manifest alike.
 ///
 /// With a retry policy enabled (EnableRetry), transient storage failures
 /// (kUnavailable — flaky I/O, injected chaos) are retried with jittered
@@ -215,7 +247,8 @@ class JournalWriter {
  public:
   /// `storage` is borrowed. `existing_bytes` is the valid size already in
   /// the storage (0 for fresh; OpenJournal().valid_bytes after recovery).
-  JournalWriter(JournalStorage* storage, uint64_t existing_bytes);
+  JournalWriter(JournalStorage* storage, uint64_t existing_bytes,
+                const JournalFormat& format = kJournalFormat);
 
   /// Turns on retry-on-transient under `policy`, with deterministic jitter
   /// seeded by `jitter_seed`. Call before the first Append.
@@ -233,6 +266,7 @@ class JournalWriter {
   Status AppendWithRetry(std::string_view bytes);
 
   JournalStorage* storage_;
+  JournalFormat format_;
   bool header_written_;
   uint64_t valid_bytes_;
   bool retry_enabled_ = false;

@@ -3,34 +3,54 @@
 #include <algorithm>
 #include <utility>
 
-#include "durability/crc32c.h"
 #include "durability/serialize.h"
-#include "obs/obs.h"
 
 namespace htune {
 
 namespace {
 
-constexpr size_t kHeaderSize = 8;             // magic + version
-constexpr size_t kFrameOverhead = 4 + 1 + 4;  // length + type + crc
-// Same frame-walk guard as the journal scanner: a corrupted length field
-// must not redirect the walk past the buffer or trigger a huge allocation.
-constexpr uint32_t kMaxPayload = 1u << 30;
-
-std::string EncodeManifestHeader() {
-  std::string header(kManifestMagic);
-  Encoder version;
-  version.PutU32(kManifestVersion);
-  header += version.bytes();
-  return header;
+// The journal layer carries a manifest record's type byte unread; only
+// kManifestFormat's bound on it differs from a work journal's.
+JournalRecordType FrameType(ManifestRecordType type) {
+  return static_cast<JournalRecordType>(type);
 }
 
-// The manifest reuses the journal's frame codec byte-for-byte (u32 length |
-// u8 type | payload | u32 crc over all three); only the record-type
-// namespace differs, and the framing layer never interprets the type byte.
-std::string EncodeManifestFrame(ManifestRecordType type,
-                                std::string_view payload) {
-  return EncodeJournalRecord(static_cast<JournalRecordType>(type), payload);
+// Folds one CRC-valid record into `contents`. Fails only when the payload
+// does not decode.
+Status FoldManifestRecord(const JournalRecord& record,
+                          ManifestContents* contents) {
+  if (static_cast<ManifestRecordType>(record.type) ==
+      ManifestRecordType::kJob) {
+    uint64_t job_id = 0;
+    FleetJobSpec spec;
+    HTUNE_RETURN_IF_ERROR(
+        DecodeManifestJobPayload(record.payload, &job_id, &spec));
+    ManifestJobEntry& entry = contents->jobs[job_id];
+    entry.job_id = job_id;
+    entry.spec = std::move(spec);
+    return OkStatus();
+  }
+  // kState: ScanJournal admits no other type under kManifestFormat.
+  uint64_t job_id = 0;
+  FleetJobState state = FleetJobState::kPending;
+  int32_t restarts = 0;
+  uint64_t journal_bytes = 0;
+  std::string detail;
+  HTUNE_RETURN_IF_ERROR(DecodeManifestStatePayload(
+      record.payload, &job_id, &state, &restarts, &journal_bytes, &detail));
+  auto it = contents->jobs.find(job_id);
+  if (it == contents->jobs.end()) {
+    // A transition for a job the manifest never admitted: the kJob record
+    // was lost to corruption ahead of this point. Recoverable evidence, not
+    // a scan error — the caller decides what to do.
+    contents->unknown_state_ids.push_back(job_id);
+  } else {
+    it->second.state = state;
+    it->second.restarts = restarts;
+    it->second.journal_bytes = journal_bytes;
+    it->second.detail = std::move(detail);
+  }
+  return OkStatus();
 }
 
 }  // namespace
@@ -120,94 +140,19 @@ Status DecodeManifestStatePayload(std::string_view payload, uint64_t* job_id,
 }
 
 StatusOr<ManifestContents> ScanManifest(std::string_view bytes) {
+  HTUNE_ASSIGN_OR_RETURN(JournalContents journal,
+                         ScanJournal(bytes, kManifestFormat));
   ManifestContents contents;
-  if (bytes.empty()) {
-    return contents;  // fresh manifest
+  contents.version = journal.version;
+  for (size_t i = 0; i < journal.records.size(); ++i) {
+    if (!FoldManifestRecord(journal.records[i], &contents).ok()) {
+      // CRC-valid but undecodable: treat as end of trust.
+      EndJournalPrefixAt(&journal, i);
+      break;
+    }
   }
-  if (bytes.size() < kHeaderSize) {
-    const size_t n = std::min(bytes.size(), kManifestMagic.size());
-    if (bytes.substr(0, n) != kManifestMagic.substr(0, n)) {
-      return InvalidArgumentError("manifest: not a manifest file (bad magic)");
-    }
-    contents.truncated_tail = true;
-    return contents;
-  }
-  if (bytes.substr(0, kManifestMagic.size()) != kManifestMagic) {
-    return InvalidArgumentError("manifest: not a manifest file (bad magic)");
-  }
-  {
-    Decoder header(bytes.substr(kManifestMagic.size(), 4));
-    uint32_t version = 0;
-    HTUNE_RETURN_IF_ERROR(header.GetU32(&version));
-    if (version != kManifestVersion) {
-      return InvalidArgumentError("manifest: unsupported format version " +
-                                  std::to_string(version));
-    }
-    contents.version = version;
-  }
-  contents.valid_bytes = kHeaderSize;
-
-  size_t offset = kHeaderSize;
-  while (offset < bytes.size()) {
-    if (bytes.size() - offset < kFrameOverhead) {
-      break;  // torn frame
-    }
-    Decoder prefix(bytes.substr(offset, 5));
-    uint32_t length = 0;
-    uint8_t type = 0;
-    HTUNE_RETURN_IF_ERROR(prefix.GetU32(&length));
-    HTUNE_RETURN_IF_ERROR(prefix.GetU8(&type));
-    if (length > kMaxPayload || bytes.size() - offset - kFrameOverhead <
-                                    static_cast<size_t>(length)) {
-      break;  // corrupt length or torn payload
-    }
-    const std::string_view framed = bytes.substr(offset, 5 + length);
-    Decoder footer(bytes.substr(offset + 5 + length, 4));
-    uint32_t stored_crc = 0;
-    HTUNE_RETURN_IF_ERROR(footer.GetU32(&stored_crc));
-    if (Crc32c(framed) != stored_crc) {
-      break;  // bit-flipped record
-    }
-    const std::string_view payload = framed.substr(5);
-    if (type == static_cast<uint8_t>(ManifestRecordType::kJob)) {
-      uint64_t job_id = 0;
-      FleetJobSpec spec;
-      if (!DecodeManifestJobPayload(payload, &job_id, &spec).ok()) {
-        break;  // CRC-valid but undecodable: treat as end of trust
-      }
-      ManifestJobEntry& entry = contents.jobs[job_id];
-      entry.job_id = job_id;
-      entry.spec = std::move(spec);
-    } else if (type == static_cast<uint8_t>(ManifestRecordType::kState)) {
-      uint64_t job_id = 0;
-      FleetJobState state = FleetJobState::kPending;
-      int32_t restarts = 0;
-      uint64_t journal_bytes = 0;
-      std::string detail;
-      if (!DecodeManifestStatePayload(payload, &job_id, &state, &restarts,
-                                      &journal_bytes, &detail)
-               .ok()) {
-        break;
-      }
-      auto it = contents.jobs.find(job_id);
-      if (it == contents.jobs.end()) {
-        // A transition for a job the manifest never admitted: the kJob
-        // record was lost to corruption ahead of this point. Recoverable
-        // evidence, not a scan error — the caller decides what to do.
-        contents.unknown_state_ids.push_back(job_id);
-      } else {
-        it->second.state = state;
-        it->second.restarts = restarts;
-        it->second.journal_bytes = journal_bytes;
-        it->second.detail = std::move(detail);
-      }
-    } else {
-      break;  // unknown record type: cannot trust anything after it
-    }
-    offset += 5 + length + 4;
-    contents.valid_bytes = offset;
-  }
-  contents.truncated_tail = contents.valid_bytes < bytes.size();
+  contents.valid_bytes = journal.valid_bytes;
+  contents.truncated_tail = journal.truncated_tail;
   return contents;
 }
 
@@ -217,9 +162,8 @@ StatusOr<FleetManifest> FleetManifest::Open(JournalStorage* storage) {
   if (contents.truncated_tail) {
     HTUNE_RETURN_IF_ERROR(storage->Truncate(contents.valid_bytes));
   }
-  FleetManifest manifest(storage);
-  manifest.valid_bytes_ = contents.valid_bytes;
-  manifest.header_written_ = contents.valid_bytes > 0;
+  FleetManifest manifest(
+      JournalWriter(storage, contents.valid_bytes, kManifestFormat));
   manifest.jobs_ = std::move(contents.jobs);
   manifest.unknown_state_ids_ = std::move(contents.unknown_state_ids);
   if (!manifest.jobs_.empty()) {
@@ -230,44 +174,13 @@ StatusOr<FleetManifest> FleetManifest::Open(JournalStorage* storage) {
 
 void FleetManifest::EnableRetry(const RetryPolicy& policy,
                                 uint64_t jitter_seed) {
-  retry_enabled_ = true;
-  retry_policy_ = policy;
-  jitter_ = SplitMix64(jitter_seed);
-}
-
-Status FleetManifest::AppendBytes(std::string_view bytes) {
-  if (!retry_enabled_) {
-    HTUNE_RETURN_IF_ERROR(storage_->Append(bytes));
-    valid_bytes_ += bytes.size();
-    return OkStatus();
-  }
-  const Status status = RetryTransient(
-      retry_policy_, jitter_,
-      [&]() -> Status { return storage_->Append(bytes); },
-      // Same repair as JournalWriter: a failed append may have persisted a
-      // torn prefix, so drop back to the last known-good boundary first.
-      [&]() -> Status {
-        HTUNE_OBS_COUNTER_ADD("manifest.repairs", 1);
-        return storage_->Truncate(valid_bytes_);
-      });
-  HTUNE_RETURN_IF_ERROR(status);
-  valid_bytes_ += bytes.size();
-  return OkStatus();
-}
-
-Status FleetManifest::AppendRecord(ManifestRecordType type,
-                                   std::string_view payload) {
-  if (!header_written_) {
-    HTUNE_RETURN_IF_ERROR(AppendBytes(EncodeManifestHeader()));
-    header_written_ = true;
-  }
-  HTUNE_OBS_COUNTER_ADD("manifest.appends", 1);
-  return AppendBytes(EncodeManifestFrame(type, payload));
+  writer_.EnableRetry(policy, jitter_seed);
 }
 
 Status FleetManifest::AppendJob(uint64_t job_id, const FleetJobSpec& spec) {
-  HTUNE_RETURN_IF_ERROR(AppendRecord(ManifestRecordType::kJob,
-                                     EncodeManifestJobPayload(job_id, spec)));
+  HTUNE_RETURN_IF_ERROR(
+      writer_.Append(FrameType(ManifestRecordType::kJob),
+                     EncodeManifestJobPayload(job_id, spec)));
   // Flush before the caller creates the job's journal: the invariant "a
   // journal exists only for jobs the manifest knows" is what lets recovery
   // classify an orphan journal as a truncated-manifest symptom.
@@ -282,8 +195,8 @@ Status FleetManifest::AppendJob(uint64_t job_id, const FleetJobSpec& spec) {
 Status FleetManifest::AppendState(uint64_t job_id, FleetJobState state,
                                   int32_t restarts, uint64_t journal_bytes,
                                   std::string_view detail) {
-  HTUNE_RETURN_IF_ERROR(AppendRecord(
-      ManifestRecordType::kState,
+  HTUNE_RETURN_IF_ERROR(writer_.Append(
+      FrameType(ManifestRecordType::kState),
       EncodeManifestStatePayload(job_id, state, restarts, journal_bytes,
                                  detail)));
   auto it = jobs_.find(job_id);
@@ -296,21 +209,15 @@ Status FleetManifest::AppendState(uint64_t job_id, FleetJobState state,
   return OkStatus();
 }
 
-Status FleetManifest::Flush() {
-  if (!retry_enabled_) {
-    return storage_->Flush();
-  }
-  return RetryTransient(retry_policy_, jitter_,
-                        [&]() -> Status { return storage_->Flush(); });
-}
+Status FleetManifest::Flush() { return writer_.Flush(); }
 
 std::string FleetManifest::EncodeCompacted() const {
-  std::string bytes = EncodeManifestHeader();
+  std::string bytes = EncodeJournalHeader(kManifestFormat);
   for (const auto& [job_id, entry] : jobs_) {
-    bytes += EncodeManifestFrame(ManifestRecordType::kJob,
+    bytes += EncodeJournalRecord(FrameType(ManifestRecordType::kJob),
                                  EncodeManifestJobPayload(job_id, entry.spec));
-    bytes += EncodeManifestFrame(
-        ManifestRecordType::kState,
+    bytes += EncodeJournalRecord(
+        FrameType(ManifestRecordType::kState),
         EncodeManifestStatePayload(job_id, entry.state, entry.restarts,
                                    entry.journal_bytes, entry.detail));
   }

@@ -5,6 +5,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/statusor.h"
@@ -15,10 +16,11 @@ namespace htune {
 
 /// Fleet manifest: the durable record of every job a FleetSupervisor owns.
 ///
-/// The manifest is itself a CRC-framed append-only log with the same frame
-/// layout as the per-job journals (u32 LE length | u8 type | payload |
-/// u32 LE CRC-32C over length+type+payload) under its own magic/version so
-/// the two file kinds can never be confused:
+/// The manifest is a journal (durability/journal.h) under its own format,
+/// kManifestFormat: the same frame layout (u32 LE length | u8 type |
+/// payload | u32 LE CRC-32C over length+type+payload), read by ScanJournal
+/// and written by JournalWriter, with its own magic/version so the two file
+/// kinds can never be confused and its own record-type namespace:
 ///
 ///   header:  "HTFM" magic (4 bytes) + u32 LE format version
 ///   kJob:    one record per submitted job, written exactly once, before
@@ -33,10 +35,11 @@ namespace htune {
 ///            what was known durable) and quarantines instead of silently
 ///            replaying a self-healed prefix.
 ///
-/// Reading tolerates a torn tail exactly like the journal scanner: the
-/// valid prefix wins, the tail is truncated. State records naming an
-/// unknown job id are reported (not fatal): they can only arise from a
-/// manifest that lost its kJob record to corruption ahead of the tail.
+/// Reading is the journal scan plus a fold: the valid prefix wins, the tail
+/// is truncated, and a CRC-valid record whose payload does not decode ends
+/// the valid prefix at its start. State records naming an unknown job id
+/// are reported (not fatal): they can only arise from a manifest that lost
+/// its kJob record to corruption ahead of the tail.
 inline constexpr std::string_view kManifestMagic = "HTFM";
 inline constexpr uint32_t kManifestVersion = 1;
 
@@ -48,6 +51,12 @@ enum class ManifestRecordType : uint8_t {
   /// Lifecycle transition: {job id, state, restarts, journal mark, detail}.
   kState = 2,
 };
+
+/// The manifest's journal format: ScanJournal and JournalWriter read and
+/// write manifests under it, and reject a work journal's magic.
+inline constexpr JournalFormat kManifestFormat{
+    "manifest", kManifestMagic, kManifestVersion,
+    static_cast<uint8_t>(ManifestRecordType::kState)};
 
 /// Lifecycle states a fleet job moves through. On-disk values; append only.
 enum class FleetJobState : uint8_t {
@@ -133,14 +142,15 @@ struct ManifestContents {
   bool truncated_tail = false;
 };
 
-/// Scans raw manifest bytes. Same torn-tail contract as ScanJournal: a
-/// corrupt or torn record ends the valid prefix; only a wrong magic or
-/// unsupported version is an error.
+/// Scans raw manifest bytes: ScanJournal over kManifestFormat, then the
+/// fold (last kState wins). Same torn-tail contract as ScanJournal: a
+/// corrupt, torn, or undecodable record ends the valid prefix; only a wrong
+/// magic or unsupported version is an error.
 StatusOr<ManifestContents> ScanManifest(std::string_view bytes);
 
-/// Append-side handle over a manifest storage. All writes go through the
-/// journal frame codec with retry-and-repair on transient failures,
-/// mirroring JournalWriter.
+/// Append-side handle over a manifest storage. All writes go through a
+/// JournalWriter over kManifestFormat, so header, retry-and-repair on
+/// transient failures, and flush are the work journals' own.
 class FleetManifest {
  public:
   /// Loads and scans `storage`, truncating any torn tail so appends resume
@@ -166,7 +176,7 @@ class FleetManifest {
   /// Smallest id strictly greater than every recorded job's.
   uint64_t next_job_id() const { return next_job_id_; }
   /// Bytes known to be durably framed (header + whole records).
-  uint64_t valid_bytes() const { return valid_bytes_; }
+  uint64_t valid_bytes() const { return writer_.valid_bytes(); }
 
   /// Re-encodes the folded state as a fresh manifest byte stream: one kJob
   /// plus one kState record per job, in id order. Rotation writes this via
@@ -174,20 +184,9 @@ class FleetManifest {
   std::string EncodeCompacted() const;
 
  private:
-  explicit FleetManifest(JournalStorage* storage) : storage_(storage) {}
+  explicit FleetManifest(JournalWriter writer) : writer_(std::move(writer)) {}
 
-  /// Appends one framed record, writing the manifest header first on a
-  /// fresh stream, with retry-and-repair (truncate back to valid_bytes_)
-  /// on transient storage failures.
-  Status AppendRecord(ManifestRecordType type, std::string_view payload);
-  Status AppendBytes(std::string_view bytes);
-
-  JournalStorage* storage_;
-  uint64_t valid_bytes_ = 0;
-  bool header_written_ = false;
-  bool retry_enabled_ = false;
-  RetryPolicy retry_policy_;
-  SplitMix64 jitter_{0};
+  JournalWriter writer_;
   std::map<uint64_t, ManifestJobEntry> jobs_;
   std::vector<uint64_t> unknown_state_ids_;
   uint64_t next_job_id_ = 1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 
 #include "common/check.h"
@@ -11,8 +10,8 @@ namespace htune {
 
 namespace {
 
-/// Heap/sort comparator: a "greater" order so std::push_heap builds a
-/// min-heap on (time, sequence).
+/// Sort comparator: a "greater" order, so a bucket sorted by it holds its
+/// minimum (time, sequence) at the back.
 struct EventGreater {
   bool operator()(const MarketEvent& a, const MarketEvent& b) const {
     return EventBefore(b, a);
@@ -20,30 +19,6 @@ struct EventGreater {
 };
 
 }  // namespace
-
-void BinaryHeapEventQueue::Push(const MarketEvent& event) {
-  events_.push_back(event);
-  std::push_heap(events_.begin(), events_.end(), EventGreater{});
-}
-
-MarketEvent BinaryHeapEventQueue::Pop() {
-  HTUNE_CHECK(!events_.empty());
-  std::pop_heap(events_.begin(), events_.end(), EventGreater{});
-  const MarketEvent event = events_.back();
-  events_.pop_back();
-  return event;
-}
-
-std::vector<MarketEvent> BinaryHeapEventQueue::SortedSnapshot() const {
-  std::vector<MarketEvent> sorted = events_;
-  std::sort(sorted.begin(), sorted.end(), EventBefore);
-  return sorted;
-}
-
-void BinaryHeapEventQueue::Assign(std::vector<MarketEvent> events) {
-  events_ = std::move(events);
-  std::make_heap(events_.begin(), events_.end(), EventGreater{});
-}
 
 CalendarEventQueue::CalendarEventQueue() : buckets_(kMinBuckets) {}
 
@@ -226,16 +201,6 @@ void CalendarEventQueue::Assign(std::vector<MarketEvent> events) {
   buckets_[0] = std::move(events);
   size_ = buckets_[0].size();
   Resize(target);
-}
-
-std::unique_ptr<EventQueue> MakeEventQueue(EventQueueImpl impl) {
-  switch (impl) {
-    case EventQueueImpl::kBinaryHeap:
-      return std::make_unique<BinaryHeapEventQueue>();
-    case EventQueueImpl::kCalendar:
-      break;
-  }
-  return std::make_unique<CalendarEventQueue>();
 }
 
 }  // namespace htune

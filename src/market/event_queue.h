@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "market/events.h"
@@ -26,60 +25,17 @@ struct MarketEvent {
 };
 
 /// The simulator's total order on events: time, with the monotone push
-/// sequence breaking ties. Every EventQueue implementation must pop in
-/// exactly this order — the order is part of the bitwise-determinism
-/// contract, not a performance detail.
+/// sequence breaking ties. The queue must pop in exactly this order — the
+/// order is part of the bitwise-determinism contract, not a performance
+/// detail (tests/event_queue_test.cc checks it against a binary-heap
+/// oracle).
 inline bool EventBefore(const MarketEvent& a, const MarketEvent& b) {
   if (a.time != b.time) return a.time < b.time;
   return a.sequence < b.sequence;
 }
 
 /// Priority queue of pending market events, minimum (time, sequence) first.
-/// Implementations must agree on the pop order exactly; they may differ in
-/// internal layout, which is why snapshots store SortedSnapshot() (the
-/// canonical order) rather than any internal representation, and Assign()
-/// accepts the events in any permutation.
-class EventQueue {
- public:
-  virtual ~EventQueue() = default;
-
-  virtual void Push(const MarketEvent& event) = 0;
-  /// Removes and returns the minimum event. Requires !empty().
-  virtual MarketEvent Pop() = 0;
-  /// The minimum event without removing it. Requires !empty().
-  virtual const MarketEvent& Min() const = 0;
-  virtual size_t size() const = 0;
-  bool empty() const { return size() == 0; }
-  /// Drops all events and releases per-run bookkeeping (bucket capacity may
-  /// be retained for reuse).
-  virtual void Clear() = 0;
-  /// All pending events in the canonical (time, sequence) order — the
-  /// snapshot-v2 wire order.
-  virtual std::vector<MarketEvent> SortedSnapshot() const = 0;
-  /// Replaces the queue contents with `events` (any order; duplicates are
-  /// the caller's bug). Used by RestoreState.
-  virtual void Assign(std::vector<MarketEvent> events) = 0;
-};
-
-/// Reference implementation: std::push_heap/std::pop_heap over a vector —
-/// the engine the simulator shipped with before the calendar queue. Kept as
-/// the equivalence oracle (tests drive both queues through identical
-/// schedules) and as a fallback.
-class BinaryHeapEventQueue final : public EventQueue {
- public:
-  void Push(const MarketEvent& event) override;
-  MarketEvent Pop() override;
-  const MarketEvent& Min() const override { return events_.front(); }
-  size_t size() const override { return events_.size(); }
-  void Clear() override { events_.clear(); }
-  std::vector<MarketEvent> SortedSnapshot() const override;
-  void Assign(std::vector<MarketEvent> events) override;
-
- private:
-  /// Min-heap on (time, sequence).
-  std::vector<MarketEvent> events_;
-};
-
+///
 /// Calendar queue (R. Brown, CACM 1988): events hash into time buckets of
 /// width `width_`; each bucket holds its events sorted descending so the
 /// bucket minimum pops from the back in O(1). With the width tracking the
@@ -99,18 +55,27 @@ class BinaryHeapEventQueue final : public EventQueue {
 /// structure depends only on queue content — never on wall-clock state —
 /// and stays deterministic. Times so large that time/width overflows the
 /// bucket arithmetic (>= 2^62 virtual buckets) degrade to a single sorted
-/// bucket, which is slower but still pops in exact order.
-class CalendarEventQueue final : public EventQueue {
+/// bucket, which is slower but still pops in exact order. Snapshots store
+/// SortedSnapshot() (the canonical order), never the bucket layout.
+class CalendarEventQueue {
  public:
   CalendarEventQueue();
 
-  void Push(const MarketEvent& event) override;
-  MarketEvent Pop() override;
-  const MarketEvent& Min() const override { return min_; }
-  size_t size() const override { return size_; }
-  void Clear() override;
-  std::vector<MarketEvent> SortedSnapshot() const override;
-  void Assign(std::vector<MarketEvent> events) override;
+  void Push(const MarketEvent& event);
+  /// Removes and returns the minimum event. Requires !empty().
+  MarketEvent Pop();
+  /// The minimum event without removing it. Requires !empty().
+  const MarketEvent& Min() const { return min_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// Drops all events (bucket capacity is retained for reuse).
+  void Clear();
+  /// All pending events in the canonical (time, sequence) order — the
+  /// snapshot-v2 wire order.
+  std::vector<MarketEvent> SortedSnapshot() const;
+  /// Replaces the queue contents with `events` (any order; duplicates are
+  /// the caller's bug). Used by RestoreState.
+  void Assign(std::vector<MarketEvent> events);
 
  private:
   /// Virtual (un-wrapped) bucket of `time`; kOverflow when the division
@@ -132,14 +97,6 @@ class CalendarEventQueue final : public EventQueue {
   bool overflow_ = false;
   MarketEvent min_;
 };
-
-/// Queue implementation selector carried by MarketConfig.
-enum class EventQueueImpl : uint8_t {
-  kCalendar,    ///< default: CalendarEventQueue
-  kBinaryHeap,  ///< reference oracle
-};
-
-std::unique_ptr<EventQueue> MakeEventQueue(EventQueueImpl impl);
 
 }  // namespace htune
 

@@ -45,7 +45,6 @@ MarketSimulator::MarketSimulator(const MarketConfig& config)
   if (config.abandon_prob > 0.0) {
     HTUNE_CHECK_GT(config.abandon_hold_rate, 0.0);
   }
-  queue_ = MakeEventQueue(config.event_queue);
   if (config.record_trace) {
     trace_.reserve(1024);
   }
@@ -416,11 +415,11 @@ Status MarketSimulator::Reprice(TaskId id, int new_price,
 
 size_t MarketSimulator::RunUntil(double deadline) {
   while (tasks_.open_count() > 0) {
-    const bool has_event = !queue_->empty();
-    const double event_time = has_event ? queue_->Min().time : 0.0;
+    const bool has_event = !queue_.empty();
+    const double event_time = has_event ? queue_.Min().time : 0.0;
     if (has_event && event_time <= next_arrival_time_) {
       if (event_time > deadline) break;
-      ApplyEvent(queue_->Pop());
+      ApplyEvent(queue_.Pop());
     } else {
       if (next_arrival_time_ > deadline) break;
       StepWorkerArrival();
@@ -454,8 +453,8 @@ Status MarketSimulator::RunToCompletion() {
           std::to_string(tasks_.open_count()) +
           " open tasks total) — a posted rate is effectively zero");
     }
-    if (!queue_->empty() && queue_->Min().time <= next_arrival_time_) {
-      ApplyEvent(queue_->Pop());
+    if (!queue_.empty() && queue_.Min().time <= next_arrival_time_) {
+      ApplyEvent(queue_.Pop());
     } else {
       StepWorkerArrival();
     }
@@ -590,7 +589,7 @@ StatusOr<MarketState> MarketSimulator::CaptureState(
   state.event_sequence = event_sequence_;
   state.total_spent = total_spent_;
   state.rng = rng_.SaveState();
-  const std::vector<MarketEvent> events = queue_->SortedSnapshot();
+  const std::vector<MarketEvent> events = queue_.SortedSnapshot();
   state.events.reserve(events.size());
   for (const MarketEvent& event : events) {
     state.events.push_back({event.time, event.sequence, event.task,
@@ -763,7 +762,7 @@ Status MarketSimulator::RestoreState(
   event_sequence_ = state.event_sequence;
   total_spent_ = state.total_spent;
   rng_.RestoreState(state.rng);
-  queue_->Assign(std::move(events));
+  queue_.Assign(std::move(events));
   tasks_ = std::move(store);
   // Rebuild the on-hold index (not serialized: it is derivable state).
   tasks_.ForEachOpenInIdOrder([&](TaskId id, const OpenTask& task) {

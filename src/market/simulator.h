@@ -86,11 +86,6 @@ struct MarketConfig {
   /// while keeping every task-lifecycle record. Filtering changes only
   /// which records are appended — never the simulation's RNG stream.
   uint32_t trace_mask = kTraceMaskAll;
-  /// Pending-event scheduler. The calendar queue is the amortized-O(1)
-  /// default; the binary heap is the pre-rewrite reference kept for
-  /// equivalence testing. Both pop in the identical (time, sequence)
-  /// total order, so this choice never affects results — only speed.
-  EventQueueImpl event_queue = EventQueueImpl::kCalendar;
 };
 
 /// Complete dynamic state of a MarketSimulator as plain serializable data,
@@ -304,7 +299,7 @@ class MarketSimulator {
       const std::vector<std::shared_ptr<const PriceRateCurve>>& curve_table);
 
  private:
-  void PushEvent(const MarketEvent& event) { queue_->Push(event); }
+  void PushEvent(const MarketEvent& event) { queue_.Push(event); }
 
   void Record(const TraceEvent& event);
   /// Samples the next worker arrival epoch after `after` (homogeneous, or
@@ -339,7 +334,7 @@ class MarketSimulator {
   uint64_t event_sequence_ = 0;
   long total_spent_ = 0;
   TaskStore tasks_;
-  std::unique_ptr<EventQueue> queue_;
+  CalendarEventQueue queue_;
   std::vector<TraceEvent> trace_;
   // HTUNE_TRANSIENT: report-only event tallies, reset on resume
   MarketEventCounts event_counts_;

@@ -225,8 +225,7 @@ Status ValidateSharedMarketConfig(const SharedMarketConfig& config) {
 
 SharedMarket::SharedMarket(const SharedMarketConfig& config)
     : config_(config),
-      stream_(config.worker_arrival_rate, config.seed),
-      queue_(MakeEventQueue(config.event_queue)) {
+      stream_(config.worker_arrival_rate, config.seed) {
   HTUNE_CHECK(ValidateSharedMarketConfig(config).ok());
 }
 
@@ -473,7 +472,7 @@ void SharedMarket::StepArrival() {
                static_cast<int>(slot) + 1});
 
   const double processing = job.rng.Exponential(task.processing_rate);
-  queue_->Push({now_ + processing, event_sequence_++, task.id,
+  queue_.Push({now_ + processing, event_sequence_++, task.id,
                 MarketEvent::Kind::kCompletion, job.id});
 }
 
@@ -516,11 +515,11 @@ void SharedMarket::ApplyCompletion(const MarketEvent& event) {
 size_t SharedMarket::RunUntil(double deadline) {
   while (open_tasks_ > 0) {
     const double arrival = stream_.NextArrivalTime();
-    if (!queue_->empty() && queue_->Min().time <= arrival) {
-      if (queue_->Min().time > deadline) {
+    if (!queue_.empty() && queue_.Min().time <= arrival) {
+      if (queue_.Min().time > deadline) {
         break;
       }
-      const MarketEvent event = queue_->Pop();
+      const MarketEvent event = queue_.Pop();
       ApplyCompletion(event);
     } else {
       if (arrival > deadline) {
@@ -545,8 +544,8 @@ Status SharedMarket::RunToCompletion() {
           " arrivals without completing the open tasks)");
     }
     const double arrival = stream_.NextArrivalTime();
-    if (!queue_->empty() && queue_->Min().time <= arrival) {
-      const MarketEvent event = queue_->Pop();
+    if (!queue_.empty() && queue_.Min().time <= arrival) {
+      const MarketEvent event = queue_.Pop();
       ApplyCompletion(event);
     } else {
       StepArrival();
@@ -640,7 +639,7 @@ std::string SharedMarket::CaptureState() const {
   e.PutDouble(now_);
   e.PutU64(event_sequence_);
 
-  const std::vector<MarketEvent> events = queue_->SortedSnapshot();
+  const std::vector<MarketEvent> events = queue_.SortedSnapshot();
   e.PutU64(events.size());
   for (const MarketEvent& event : events) {
     e.PutDouble(event.time);
@@ -808,7 +807,7 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
   stream_.RestoreState(stream);
   now_ = restored_now;
   event_sequence_ = event_sequence;
-  queue_->Assign(std::move(events));
+  queue_.Assign(std::move(events));
   jobs_ = std::move(jobs);
   open_tasks_ = open_tasks;
   return OkStatus();

@@ -33,8 +33,6 @@ struct SharedMarketConfig {
   /// Record per-job trace events (kTaskAccepted / kRepetitionCompleted /
   /// kTaskCompleted).
   bool record_trace = true;
-  /// Pending-completion scheduler (see MarketConfig::event_queue).
-  EventQueueImpl event_queue = EventQueueImpl::kCalendar;
 };
 
 Status ValidateSharedMarketConfig(const SharedMarketConfig& config);
@@ -190,7 +188,7 @@ class SharedMarket {
 
   SharedMarketConfig config_;  // HTUNE_TRANSIENT: construction-time config
   SharedArrivalStream stream_;
-  std::unique_ptr<EventQueue> queue_;
+  CalendarEventQueue queue_;
   uint64_t event_sequence_ = 0;
   double now_ = 0.0;
   size_t open_tasks_ = 0;  // HTUNE_TRANSIENT: recounted during RestoreState

@@ -13,11 +13,11 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "binary_heap_event_queue.h"
 #include "market/event_queue.h"
 #include "rng/random.h"
 
@@ -42,8 +42,8 @@ bool SameEvent(const MarketEvent& a, const MarketEvent& b) {
 }
 
 /// Pops everything from `queue` and checks the stream against `oracle`
-/// (a BinaryHeapEventQueue fed the same events).
-void ExpectSameDrain(EventQueue& queue, EventQueue& oracle) {
+/// (fed the same events).
+void ExpectSameDrain(CalendarEventQueue& queue, BinaryHeapEventQueue& oracle) {
   ASSERT_EQ(queue.size(), oracle.size());
   size_t step = 0;
   while (!oracle.empty()) {
@@ -59,30 +59,28 @@ void ExpectSameDrain(EventQueue& queue, EventQueue& oracle) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(EventQueueTest, FactorySelectsImplementation) {
-  std::unique_ptr<EventQueue> calendar = MakeEventQueue(EventQueueImpl::kCalendar);
-  std::unique_ptr<EventQueue> heap = MakeEventQueue(EventQueueImpl::kBinaryHeap);
-  ASSERT_NE(calendar, nullptr);
-  ASSERT_NE(heap, nullptr);
-  EXPECT_NE(dynamic_cast<CalendarEventQueue*>(calendar.get()), nullptr);
-  EXPECT_NE(dynamic_cast<BinaryHeapEventQueue*>(heap.get()), nullptr);
+/// Runs `body` on a fresh queue of each implementation.
+template <typename Body>
+void ForEachQueue(Body body) {
+  CalendarEventQueue calendar;
+  body(calendar);
+  BinaryHeapEventQueue heap;
+  body(heap);
 }
 
 TEST(EventQueueTest, PopsInTimeThenSequenceOrder) {
-  for (const EventQueueImpl impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    std::unique_ptr<EventQueue> queue = MakeEventQueue(impl);
-    queue->Push(MakeEvent(3.0, 7));
-    queue->Push(MakeEvent(1.0, 9));
-    queue->Push(MakeEvent(1.0, 2));
-    queue->Push(MakeEvent(2.0, 5));
-    ASSERT_EQ(queue->size(), 4u);
-    EXPECT_EQ(queue->Pop().sequence, 2u);
-    EXPECT_EQ(queue->Pop().sequence, 9u);
-    EXPECT_EQ(queue->Pop().sequence, 5u);
-    EXPECT_EQ(queue->Pop().sequence, 7u);
-    EXPECT_TRUE(queue->empty());
-  }
+  ForEachQueue([](auto& queue) {
+    queue.Push(MakeEvent(3.0, 7));
+    queue.Push(MakeEvent(1.0, 9));
+    queue.Push(MakeEvent(1.0, 2));
+    queue.Push(MakeEvent(2.0, 5));
+    ASSERT_EQ(queue.size(), 4u);
+    EXPECT_EQ(queue.Pop().sequence, 2u);
+    EXPECT_EQ(queue.Pop().sequence, 9u);
+    EXPECT_EQ(queue.Pop().sequence, 5u);
+    EXPECT_EQ(queue.Pop().sequence, 7u);
+    EXPECT_TRUE(queue.empty());
+  });
 }
 
 TEST(EventQueueTest, RandomScheduleMatchesBinaryHeap) {
@@ -194,39 +192,35 @@ TEST(EventQueueTest, AssignAcceptsAnyPermutation) {
 }
 
 TEST(EventQueueTest, SortedSnapshotIsCanonicalAndNonDestructive) {
-  for (const EventQueueImpl impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    std::unique_ptr<EventQueue> queue = MakeEventQueue(impl);
+  ForEachQueue([](auto& queue) {
     Random rng(0x5EED0006);
     for (uint64_t s = 0; s < 200; ++s) {
-      queue->Push(MakeEvent(rng.Uniform() * 10.0, s));
+      queue.Push(MakeEvent(rng.Uniform() * 10.0, s));
     }
-    const std::vector<MarketEvent> snapshot = queue->SortedSnapshot();
+    const std::vector<MarketEvent> snapshot = queue.SortedSnapshot();
     ASSERT_EQ(snapshot.size(), 200u);
     EXPECT_TRUE(std::is_sorted(snapshot.begin(), snapshot.end(), EventBefore));
     // The snapshot is an observation, not a drain: popping afterwards must
     // reproduce exactly the snapshot order.
     for (size_t i = 0; i < snapshot.size(); ++i) {
-      ASSERT_TRUE(SameEvent(queue->Pop(), snapshot[i])) << "pop " << i;
+      ASSERT_TRUE(SameEvent(queue.Pop(), snapshot[i])) << "pop " << i;
     }
-  }
+  });
 }
 
 TEST(EventQueueTest, ClearEmptiesAndQueueRemainsUsable) {
-  for (const EventQueueImpl impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    std::unique_ptr<EventQueue> queue = MakeEventQueue(impl);
+  ForEachQueue([](auto& queue) {
     for (uint64_t s = 0; s < 100; ++s) {
-      queue->Push(MakeEvent(static_cast<double>(s), s));
+      queue.Push(MakeEvent(static_cast<double>(s), s));
     }
-    queue->Clear();
-    EXPECT_TRUE(queue->empty());
-    EXPECT_EQ(queue->SortedSnapshot().size(), 0u);
-    queue->Push(MakeEvent(2.0, 11));
-    queue->Push(MakeEvent(1.0, 12));
-    EXPECT_EQ(queue->Pop().sequence, 12u);
-    EXPECT_EQ(queue->Pop().sequence, 11u);
-  }
+    queue.Clear();
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.SortedSnapshot().size(), 0u);
+    queue.Push(MakeEvent(2.0, 11));
+    queue.Push(MakeEvent(1.0, 12));
+    EXPECT_EQ(queue.Pop().sequence, 12u);
+    EXPECT_EQ(queue.Pop().sequence, 11u);
+  });
 }
 
 TEST(EventQueueTest, DrainToEmptyAndRefill) {

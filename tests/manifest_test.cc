@@ -9,9 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "durability/crc32c.h"
 #include "durability/journal.h"
 #include "durability/manifest.h"
 #include "gtest/gtest.h"
+#include "resilience/fault_injector.h"
+#include "resilience/policy.h"
 
 namespace htune {
 namespace {
@@ -325,6 +328,111 @@ TEST(AtomicReplaceFileTest, ManifestAndJournalMagicsNeverConfuse) {
   JournalWriter writer(&journal, 0);
   ASSERT_TRUE(writer.Append(JournalRecordType::kRunStart, "x").ok());
   EXPECT_FALSE(ScanManifest(journal.bytes()).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The manifest is framed, written and scanned by the journal layer. These
+// tests pin what that layering must preserve: the exact bytes written
+// through the retry-and-repair path, and where the fold of CRC-valid
+// records ends the trusted prefix.
+
+// Builds a manifest through a fixed AppendJob/AppendState sequence while a
+// FaultInjector tears and fails appends and flushes; the retry layer must
+// repair every fault, so the bytes are a pure function of the sequence.
+TEST(FleetManifestTest, BytesWrittenUnderShortWriteRetryArePinned) {
+  InMemoryJournalStorage inner;
+  FaultInjectorConfig config;
+  config.seed = 2117;
+  config.append_fault_prob = 0.1;
+  config.short_write_prob = 0.3;
+  config.flush_fault_prob = 0.2;
+  config.max_consecutive_faults = 2;
+  FaultInjector injector(config);
+  auto storage = injector.WrapStorage(&inner);
+  auto manifest = FleetManifest::Open(storage.get());
+  ASSERT_TRUE(manifest.ok());
+  RetryPolicy policy;
+  policy.max_attempts = 4;  // above the consecutive-fault cap
+  manifest->EnableRetry(policy, 4242);
+
+  FleetJobSpec spec = SampleSpec();
+  for (uint64_t id = 1; id <= 6; ++id) {
+    spec.name = "job-" + std::to_string(id);
+    spec.priority = static_cast<int>(id % 3);
+    ASSERT_TRUE(manifest->AppendJob(id, spec).ok());
+    ASSERT_TRUE(manifest
+                    ->AppendState(id, FleetJobState::kRunning, 0, 64 * id, "")
+                    .ok());
+  }
+  for (uint64_t id = 1; id <= 6; ++id) {
+    const FleetJobState state =
+        id % 3 == 0 ? FleetJobState::kQuarantined : FleetJobState::kDone;
+    ASSERT_TRUE(manifest
+                    ->AppendState(id, state, static_cast<int32_t>(id % 2),
+                                  128 * id, "final-" + std::to_string(id))
+                    .ok());
+    ASSERT_TRUE(manifest->Flush().ok());
+  }
+
+  EXPECT_GT(injector.stats().short_writes, 0u)
+      << "schedule injected no short writes; change the seed";
+  EXPECT_GT(injector.stats().flush_faults, 0u);
+  EXPECT_EQ(manifest->valid_bytes(), inner.bytes().size());
+  EXPECT_EQ(inner.bytes().size(), 1154u);
+  EXPECT_EQ(Crc32c(inner.bytes()), 0x7d9d2a8au);
+  EXPECT_EQ(Crc32c(manifest->EncodeCompacted()), 0xb0722b96u);
+}
+
+// Appends `frame` (one already-framed record) after a manifest holding job 1
+// and one state edge; returns the byte offset where `frame` starts.
+uint64_t ManifestWithTrailingFrame(InMemoryJournalStorage* storage,
+                                   const std::string& frame) {
+  auto manifest = FleetManifest::Open(storage);
+  EXPECT_TRUE(manifest.ok());
+  EXPECT_TRUE(manifest->AppendJob(1, SampleSpec()).ok());
+  EXPECT_TRUE(
+      manifest->AppendState(1, FleetJobState::kRunning, 0, 16, "").ok());
+  const uint64_t start = storage->bytes().size();
+  storage->bytes() += frame;
+  // A well-formed record after the bad one must not be trusted either.
+  storage->bytes() += EncodeJournalRecord(
+      static_cast<JournalRecordType>(ManifestRecordType::kState),
+      EncodeManifestStatePayload(1, FleetJobState::kDone, 0, 32, "late"));
+  return start;
+}
+
+TEST(FleetManifestTest, UndecodableJobRecordEndsPrefixAtItsStart) {
+  InMemoryJournalStorage storage;
+  // CRC-valid frame, kJob type, payload too short to decode.
+  const uint64_t start = ManifestWithTrailingFrame(
+      &storage, EncodeJournalRecord(
+                    static_cast<JournalRecordType>(ManifestRecordType::kJob),
+                    "not-a-job"));
+  const auto scan = ScanManifest(storage.bytes());
+  ASSERT_TRUE(scan.ok());
+  EXPECT_TRUE(scan->truncated_tail);
+  EXPECT_EQ(scan->valid_bytes, start);
+  ASSERT_EQ(scan->jobs.size(), 1u);
+  EXPECT_EQ(scan->jobs.at(1).state, FleetJobState::kRunning);
+
+  auto reopened = FleetManifest::Open(&storage);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(storage.bytes().size(), start);
+  EXPECT_EQ(reopened->valid_bytes(), start);
+  EXPECT_EQ(reopened->jobs().at(1).state, FleetJobState::kRunning);
+}
+
+TEST(FleetManifestTest, UnknownRecordTypeEndsPrefix) {
+  InMemoryJournalStorage storage;
+  const uint64_t start = ManifestWithTrailingFrame(
+      &storage,
+      EncodeJournalRecord(static_cast<JournalRecordType>(3), "future"));
+  const auto scan = ScanManifest(storage.bytes());
+  ASSERT_TRUE(scan.ok());
+  EXPECT_TRUE(scan->truncated_tail);
+  EXPECT_EQ(scan->valid_bytes, start);
+  EXPECT_EQ(scan->jobs.at(1).state, FleetJobState::kRunning);
+  EXPECT_TRUE(scan->unknown_state_ids.empty());
 }
 
 }  // namespace

@@ -555,6 +555,20 @@ TEST(FileJournalStorageTest, FlushOfAMissingJournalIsOk) {
   EXPECT_TRUE(storage.Flush().ok());
 }
 
+TEST(FileJournalStorageTest, TruncateUnderARegularFileIsAnError) {
+  // A path whose parent is a regular file fails stat with ENOTDIR, not
+  // ENOENT: that is a broken path, not a journal that does not exist yet,
+  // so even Truncate(0) must not report success.
+  TempFile parent("truncate_notdir");
+  FileJournalStorage parent_storage(parent.path());
+  ASSERT_TRUE(parent_storage.Append("regular file").ok());
+  FileJournalStorage storage(parent.path() + "/child.journal");
+  const Status status = storage.Truncate(0);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("Not a directory"), std::string::npos)
+      << status.message();
+}
+
 TEST(FileJournalStorageTest, ShortWritesOnAFileAreRepairedByRetry) {
   TempFile file("short_write");
   std::string clean_bytes;

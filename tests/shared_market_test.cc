@@ -314,24 +314,6 @@ TEST(SharedMarketTest, ResumeMatchesUninterruptedRun) {
   EXPECT_EQ(run(2.7), uninterrupted);
 }
 
-// Both event-queue implementations drive the identical simulation.
-TEST(SharedMarketTest, EventQueueImplementationsAgreeBitwise) {
-  auto run = [](EventQueueImpl impl) {
-    SharedMarketConfig config = BaseConfig();
-    config.event_queue = impl;
-    SharedMarket market(config);
-    EXPECT_TRUE(market.AddJob(1, 61).ok());
-    EXPECT_TRUE(market.AddJob(2, 62).ok());
-    for (int t = 0; t < 12; ++t) {
-      EXPECT_TRUE(market.PostTask(1, {3, 3}, 5.0).ok());
-      EXPECT_TRUE(market.PostTask(2, {6}, 5.0).ok());
-    }
-    EXPECT_TRUE(market.RunToCompletion().ok());
-    return market.CaptureState();
-  };
-  EXPECT_EQ(run(EventQueueImpl::kCalendar), run(EventQueueImpl::kBinaryHeap));
-}
-
 // Golden transcript: a CRC32C of the total posted weight at each
 // checkpoint, the mid-run snapshot, the final state and every job's trace
 // and outcomes. The run covers mid-run reprices (on-hold and in-flight

@@ -26,8 +26,9 @@ import struct
 import sys
 
 MAGIC = b"HTWJ"
-MANIFEST_MAGIC = b"HTFM"
 VERSION = 1
+MANIFEST_MAGIC = b"HTFM"
+MANIFEST_VERSION = 1
 HEADER_SIZE = 8
 FRAME_OVERHEAD = 9  # u32 len + u8 type + u32 crc
 
@@ -267,18 +268,24 @@ def describe(rtype: int, payload: bytes) -> str:
         return f"<malformed payload, {len(payload)} bytes>"
 
 
-def scan(data: bytes):
-    """Yields (offset, type, payload) for the valid prefix; returns via
-    StopIteration-free protocol: (records, valid_bytes, torn_reason)."""
+def scan(data: bytes, magic: bytes = MAGIC, version: int = VERSION,
+         kind: str = "journal", record_types=None):
+    """Walks the frames of a journal (or, given its magic, version and
+    record types, a fleet manifest) like ScanJournal. Returns (records,
+    valid_bytes, torn_reason), where records are (offset, type, payload)
+    for the valid prefix: every record's CRC is rechecked, and a record of
+    a type outside `record_types` (default RECORD_TYPES) ends the prefix."""
+    if record_types is None:
+        record_types = RECORD_TYPES
     if len(data) == 0:
         return [], 0, None
-    if data[:min(len(data), 4)] != MAGIC[:min(len(data), 4)]:
-        raise ValueError("bad magic: not an htune journal")
+    if data[:min(len(data), 4)] != magic[:min(len(data), 4)]:
+        raise ValueError(f"bad magic: not an htune {kind}")
     if len(data) < HEADER_SIZE:
         return [], 0, "torn header"
-    version = struct.unpack("<I", data[4:8])[0]
-    if version != VERSION:
-        raise ValueError(f"unsupported journal version {version}")
+    found = struct.unpack("<I", data[4:8])[0]
+    if found != version:
+        raise ValueError(f"unsupported {kind} version {found}")
     records = []
     pos = HEADER_SIZE
     while pos < len(data):
@@ -292,6 +299,8 @@ def scan(data: bytes):
         (crc,) = struct.unpack_from("<I", data, pos + 5 + length)
         if crc32c(framed) != crc:
             return records, pos, "CRC mismatch"
+        if rtype not in record_types:
+            return records, pos, f"unknown record type {rtype}"
         records.append((pos, rtype, data[pos + 5:pos + 5 + length]))
         pos = end
     return records, pos, None
@@ -397,36 +406,6 @@ FLEET_JOB_STATES = {
 FLEET_CONTROLLERS = {0: "ft", 1: "retune"}
 
 
-def scan_manifest(data: bytes):
-    """Like scan() but for the b"HTFM" fleet-manifest framing. Returns
-    (records, valid_bytes, torn_reason); every record's CRC is rechecked."""
-    if len(data) == 0:
-        return [], 0, None
-    if data[:min(len(data), 4)] != MANIFEST_MAGIC[:min(len(data), 4)]:
-        raise ValueError("bad magic: not an htune fleet manifest")
-    if len(data) < HEADER_SIZE:
-        return [], 0, "torn header"
-    version = struct.unpack("<I", data[4:8])[0]
-    if version != VERSION:
-        raise ValueError(f"unsupported manifest version {version}")
-    records = []
-    pos = HEADER_SIZE
-    while pos < len(data):
-        if pos + 5 > len(data):
-            return records, pos, "torn frame header"
-        length, rtype = struct.unpack_from("<IB", data, pos)
-        end = pos + FRAME_OVERHEAD + length
-        if end > len(data):
-            return records, pos, "torn frame body"
-        framed = data[pos:pos + 5 + length]
-        (crc,) = struct.unpack_from("<I", data, pos + 5 + length)
-        if crc32c(framed) != crc:
-            return records, pos, "CRC mismatch"
-        records.append((pos, rtype, data[pos + 5:pos + 5 + length]))
-        pos = end
-    return records, pos, None
-
-
 def describe_manifest(rtype: int, payload: bytes) -> str:
     """Human rendering of one manifest record (src/durability/manifest.cc
     payload layout); never raises on garbage."""
@@ -462,7 +441,8 @@ def describe_manifest(rtype: int, payload: bytes) -> str:
 
 
 def cmd_manifest(data: bytes) -> int:
-    records, valid, torn = scan_manifest(data)
+    records, valid, torn = scan(data, MANIFEST_MAGIC, MANIFEST_VERSION,
+                                "fleet manifest", MANIFEST_RECORD_TYPES)
     print(f"{len(records)} records, {valid} valid bytes of {len(data)}")
     for offset, rtype, payload in records:
         name = MANIFEST_RECORD_TYPES.get(rtype, f"type-{rtype}")
