@@ -2,7 +2,7 @@
 // tolerant run and the cost of recovering it after simulated kills at
 // increasing points of progress. Writes a real file-backed journal (path =
 // argv[1], default ./crash_recovery.journal) and leaves the completed
-// journal on disk so tools/journal_inspect.py can verify it — CI does
+// journal on disk so `htune_cli inspect verify` can check it — CI does
 // exactly that.
 //
 // Correctness is asserted, not just measured: every recovered run must
@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
   }
   std::remove(crash_path.c_str());
 
-  std::printf("\ncompleted journal left at %s (run "
-              "tools/journal_inspect.py to verify)\n",
-              path.c_str());
+  std::printf("\ncompleted journal left at %s (verify with htune_cli "
+              "inspect verify %s)\n",
+              path.c_str(), path.c_str());
   return 0;
 }

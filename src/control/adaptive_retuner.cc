@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "durability/ledger.h"
+#include "durability/records.h"
 #include "model/latency_cache.h"
 #include "obs/obs.h"
 #include "durability/serialize.h"
@@ -137,24 +138,11 @@ Status SettleTask(DurableContext& ctx, BudgetLedger& ledger, TaskId id,
   for (const RepetitionOutcome& rep : progress.repetitions) {
     if (rep.completed_time > 0.0) ++completed;
   }
-  for (int slot = ledger.PaymentsFor(id); slot < completed; ++slot) {
-    const int price = progress.repetitions[static_cast<size_t>(slot)].price;
-    Encoder record;
-    record.PutU64(id);
-    record.PutI32(slot);
-    record.PutI32(price);
-    HTUNE_RETURN_IF_ERROR(
-        ctx.Emit(JournalRecordType::kPayment, record.bytes()));
-    HTUNE_ASSIGN_OR_RETURN(const bool fresh,
-                           ledger.RecordPayment(id, slot, price));
-    (void)fresh;
-  }
+  HTUNE_RETURN_IF_ERROR(ctx.SettlePayments(ledger, id, progress, completed));
   if (progress.completed_time > 0.0 && completed_logged == 0) {
-    Encoder record;
-    record.PutU64(id);
-    record.PutDouble(progress.completed_time);
-    HTUNE_RETURN_IF_ERROR(
-        ctx.Emit(JournalRecordType::kCompletion, record.bytes()));
+    HTUNE_RETURN_IF_ERROR(ctx.Emit(
+        JournalRecordType::kCompletion,
+        EncodeRecord(CompletionRecord{id, progress.completed_time})));
     completed_logged = 1;
   }
   return OkStatus();
@@ -188,11 +176,10 @@ StatusOr<RetunerReport> RunJob(const BudgetAllocator& allocator,
     state.deadline = state.start;
     state.groups.assign(problem.groups.size(), GroupState());
     if (ctx != nullptr) {
-      Encoder record;
-      record.PutI64(problem.budget);
-      record.PutU64(questions.size());
       HTUNE_RETURN_IF_ERROR(
-          ctx->Emit(JournalRecordType::kRunStart, record.bytes()));
+          ctx->Emit(JournalRecordType::kRunStart,
+                    EncodeRecord(RunStartRecord{problem.budget,
+                                                questions.size()})));
     }
 
     // Post everything under the initial allocation.
@@ -220,12 +207,9 @@ StatusOr<RetunerReport> RunJob(const BudgetAllocator& allocator,
         }
         HTUNE_ASSIGN_OR_RETURN(const TaskId id, market.PostTask(spec));
         if (ctx != nullptr) {
-          Encoder record;
-          record.PutU64(id);
-          record.PutU64(g);
-          record.PutI32Vector(prices);
           HTUNE_RETURN_IF_ERROR(
-              ctx->Emit(JournalRecordType::kPost, record.bytes()));
+              ctx->Emit(JournalRecordType::kPost,
+                        EncodeRecord(PostRecord{id, g, prices})));
         }
         state.groups[g].task_ids.push_back(id);
         state.groups[g].completed_logged.push_back(0);
@@ -398,12 +382,10 @@ StatusOr<RetunerReport> RunJob(const BudgetAllocator& allocator,
                 }
                 HTUNE_RETURN_IF_ERROR(status);
                 if (ctx != nullptr) {
-                  Encoder record;
-                  record.PutU64(id);
-                  record.PutI32(attempt);
-                  record.PutI64(0);  // remaining slots not tracked here
-                  HTUNE_RETURN_IF_ERROR(
-                      ctx->Emit(JournalRecordType::kReprice, record.bytes()));
+                  // Remaining slots are not tracked here.
+                  HTUNE_RETURN_IF_ERROR(ctx->Emit(
+                      JournalRecordType::kReprice,
+                      EncodeRecord(RepriceRecord{id, attempt, 0})));
                 }
                 price = attempt;
               }
@@ -419,12 +401,10 @@ StatusOr<RetunerReport> RunJob(const BudgetAllocator& allocator,
     }
 
     if (ctx != nullptr) {
-      Encoder record;
-      record.PutI32(review);
-      record.PutDouble(now);
-      record.PutI64(market.TotalSpent() - state.spent_before);
-      HTUNE_RETURN_IF_ERROR(
-          ctx->Emit(JournalRecordType::kReviewEnd, record.bytes()));
+      HTUNE_RETURN_IF_ERROR(ctx->Emit(
+          JournalRecordType::kReviewEnd,
+          EncodeRecord(ReviewEndRecord{
+              review, now, market.TotalSpent() - state.spent_before})));
       if (ctx->ShouldSnapshot(state.reviews) && !ctx->replaying()) {
         HTUNE_ASSIGN_OR_RETURN(
             const MarketState market_state,
@@ -467,11 +447,9 @@ StatusOr<RetunerReport> RunJob(const BudgetAllocator& allocator,
   GlobalLatencyCache().PublishToMetrics();
 
   if (ctx != nullptr) {
-    Encoder record;
-    record.PutI64(report.spent);
-    record.PutDouble(report.latency);
     HTUNE_RETURN_IF_ERROR(
-        ctx->Emit(JournalRecordType::kRunEnd, record.bytes()));
+        ctx->Emit(JournalRecordType::kRunEnd,
+                  EncodeRecord(RunEndRecord{report.spent, report.latency})));
     if (ledger->TotalPaid() != report.spent) {
       return InternalError("AdaptiveRetuner: ledger total " +
                            std::to_string(ledger->TotalPaid()) +

@@ -9,6 +9,7 @@
 #include "common/check.h"
 #include "control/market_metrics.h"
 #include "durability/ledger.h"
+#include "durability/records.h"
 #include "model/latency_cache.h"
 #include "obs/obs.h"
 #include "durability/serialize.h"
@@ -263,42 +264,20 @@ StatusOr<int> RepriceTo(MarketSimulator& market, const PriceRateCurve& curve,
     state.planned[j] = attempt;
   }
   if (ctx != nullptr) {
-    Encoder record;
-    record.PutU64(state.id);
-    record.PutI32(attempt);
-    record.PutI64(static_cast<int64_t>(state.planned.size()) -
-                  static_cast<int64_t>(accepted));
-    HTUNE_RETURN_IF_ERROR(
-        ctx->Emit(JournalRecordType::kReprice, record.bytes()));
+    HTUNE_RETURN_IF_ERROR(ctx->Emit(
+        JournalRecordType::kReprice,
+        EncodeRecord(RepriceRecord{
+            state.id, attempt,
+            static_cast<int64_t>(state.planned.size()) -
+                static_cast<int64_t>(accepted)})));
   }
   return attempt;
 }
 
-/// Journals and ledgers the payments for every completed-but-unpaid slot of
-/// one task (slots are paid in order; the ledger knows the next unpaid one).
-Status SettlePayments(DurableContext& ctx, BudgetLedger& ledger,
-                      const TaskState& state, const TaskOutcome& progress,
-                      int completed) {
-  for (int slot = ledger.PaymentsFor(state.id); slot < completed; ++slot) {
-    const int price = progress.repetitions[static_cast<size_t>(slot)].price;
-    Encoder record;
-    record.PutU64(state.id);
-    record.PutI32(slot);
-    record.PutI32(price);
-    HTUNE_RETURN_IF_ERROR(
-        ctx.Emit(JournalRecordType::kPayment, record.bytes()));
-    HTUNE_ASSIGN_OR_RETURN(const bool fresh,
-                           ledger.RecordPayment(state.id, slot, price));
-    (void)fresh;
-  }
-  return OkStatus();
-}
-
 Status EmitCompletion(DurableContext& ctx, const TaskOutcome& outcome) {
-  Encoder record;
-  record.PutU64(outcome.id);
-  record.PutDouble(outcome.completed_time);
-  return ctx.Emit(JournalRecordType::kCompletion, record.bytes());
+  return ctx.Emit(
+      JournalRecordType::kCompletion,
+      EncodeRecord(CompletionRecord{outcome.id, outcome.completed_time}));
 }
 
 /// Per-run resilience state for the market transport: the circuit breaker
@@ -402,11 +381,10 @@ StatusOr<FaultTolerantReport> RunJob(
     state.spent_before = market.TotalSpent();
     state.deadline = state.start;
     if (ctx != nullptr) {
-      Encoder record;
-      record.PutI64(state.budget);
-      record.PutU64(questions.size());
       HTUNE_RETURN_IF_ERROR(
-          ctx->Emit(JournalRecordType::kRunStart, record.bytes()));
+          ctx->Emit(JournalRecordType::kRunStart,
+                    EncodeRecord(RunStartRecord{state.budget,
+                                                questions.size()})));
     }
 
     // Post everything under the initial allocation. Rates sent to the market
@@ -446,12 +424,9 @@ StatusOr<FaultTolerantReport> RunJob(
         task.group = g;
         task.planned = prices;
         if (ctx != nullptr) {
-          Encoder record;
-          record.PutU64(id);
-          record.PutU64(g);
-          record.PutI32Vector(prices);
           HTUNE_RETURN_IF_ERROR(
-              ctx->Emit(JournalRecordType::kPost, record.bytes()));
+              ctx->Emit(JournalRecordType::kPost,
+                        EncodeRecord(PostRecord{id, g, prices})));
         }
         state.tasks.push_back(std::move(task));
       }
@@ -519,7 +494,7 @@ StatusOr<FaultTolerantReport> RunJob(
       const int completed = CompletedRepetitions(progress);
       if (ctx != nullptr) {
         HTUNE_RETURN_IF_ERROR(
-            SettlePayments(*ctx, *ledger, task, progress, completed));
+            ctx->SettlePayments(*ledger, task.id, progress, completed));
       }
       if (progress.completed_time > 0.0) {
         if (ctx != nullptr) {
@@ -651,12 +626,10 @@ StatusOr<FaultTolerantReport> RunJob(
     }
 
     if (ctx != nullptr) {
-      Encoder record;
-      record.PutI32(review);
-      record.PutDouble(now);
-      record.PutI64(market.TotalSpent() - state.spent_before);
-      HTUNE_RETURN_IF_ERROR(
-          ctx->Emit(JournalRecordType::kReviewEnd, record.bytes()));
+      HTUNE_RETURN_IF_ERROR(ctx->Emit(
+          JournalRecordType::kReviewEnd,
+          EncodeRecord(ReviewEndRecord{
+              review, now, market.TotalSpent() - state.spent_before})));
       if (ctx->ShouldSnapshot(state.reviews) && !ctx->replaying()) {
         HTUNE_ASSIGN_OR_RETURN(const MarketState market_state,
                                market.CaptureState({}));
@@ -681,8 +654,8 @@ StatusOr<FaultTolerantReport> RunJob(
     if (ctx != nullptr) {
       // Final settlement: repetitions that finished after the last review
       // (or after the loop broke) are paid and completed here, exactly once.
-      HTUNE_RETURN_IF_ERROR(SettlePayments(
-          *ctx, *ledger, task, outcome,
+      HTUNE_RETURN_IF_ERROR(ctx->SettlePayments(
+          *ledger, task.id, outcome,
           static_cast<int>(outcome.repetitions.size())));
       if (!task.done) {
         HTUNE_RETURN_IF_ERROR(EmitCompletion(*ctx, outcome));
@@ -713,11 +686,9 @@ StatusOr<FaultTolerantReport> RunJob(
   report.deadline_expired = deadline_expired;
 
   if (ctx != nullptr) {
-    Encoder record;
-    record.PutI64(report.spent);
-    record.PutDouble(report.latency);
     HTUNE_RETURN_IF_ERROR(
-        ctx->Emit(JournalRecordType::kRunEnd, record.bytes()));
+        ctx->Emit(JournalRecordType::kRunEnd,
+                  EncodeRecord(RunEndRecord{report.spent, report.latency})));
     if (ledger->TotalPaid() != report.spent) {
       return InternalError(
           "FaultTolerantExecutor: ledger total " +

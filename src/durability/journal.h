@@ -142,8 +142,8 @@ Status AtomicReplaceFile(const std::string& path, std::string_view bytes,
 inline constexpr std::string_view kJournalMagic = "HTWJ";
 inline constexpr uint32_t kJournalVersion = 1;
 
-/// Controller-level record types. Values are part of the on-disk format
-/// (tools/journal_inspect.py mirrors them); append only, never renumber.
+/// Controller-level record types. Values are part of the on-disk format;
+/// append only, never renumber. Payload layouts: durability/records.h.
 enum class JournalRecordType : uint8_t {
   /// Job began: {budget, task count}.
   kRunStart = 1,

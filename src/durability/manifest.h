@@ -43,8 +43,7 @@ namespace htune {
 inline constexpr std::string_view kManifestMagic = "HTFM";
 inline constexpr uint32_t kManifestVersion = 1;
 
-/// Manifest record types. On-disk values (tools/journal_inspect.py mirrors
-/// them); append only, never renumber.
+/// Manifest record types. On-disk values; append only, never renumber.
 enum class ManifestRecordType : uint8_t {
   /// Job admitted: full spec, written once at Submit.
   kJob = 1,

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/status.h"
+#include "durability/records.h"
 #include "durability/serialize.h"
 #include "obs/obs.h"
 
@@ -67,6 +68,18 @@ Status DurableContext::Emit(JournalRecordType type, std::string_view payload) {
     return OkStatus();
   }
   return writer_.Append(type, payload);
+}
+
+Status DurableContext::SettlePayments(BudgetLedger& ledger, TaskId task,
+                                      const TaskOutcome& progress,
+                                      int completed) {
+  for (int slot = ledger.PaymentsFor(task); slot < completed; ++slot) {
+    const int price = progress.repetitions[static_cast<size_t>(slot)].price;
+    HTUNE_RETURN_IF_ERROR(Emit(JournalRecordType::kPayment,
+                               EncodeRecord(PaymentRecord{task, slot, price})));
+    HTUNE_RETURN_IF_ERROR(ledger.RecordPayment(task, slot, price).status());
+  }
+  return OkStatus();
 }
 
 Status DurableContext::EmitSnapshot(std::string_view market_state,

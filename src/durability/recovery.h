@@ -8,6 +8,8 @@
 
 #include "common/statusor.h"
 #include "durability/journal.h"
+#include "durability/ledger.h"
+#include "market/events.h"
 
 namespace htune {
 
@@ -67,6 +69,12 @@ class DurableContext {
   /// for CrashInjectingStorage that status is the simulated kill, and the
   /// controller must abort the run with it.
   Status Emit(JournalRecordType type, std::string_view payload);
+
+  /// Journals and ledgers a kPayment for each completed-but-unpaid slot of
+  /// `task` up to `completed`, in slot order (the ledger knows the next
+  /// unpaid one): every durable controller's exactly-once settlement.
+  Status SettlePayments(BudgetLedger& ledger, TaskId task,
+                        const TaskOutcome& progress, int completed);
 
   /// Journals a checkpoint: the pair of state blobs framed as one kSnapshot
   /// record. Later `Open`s recover from the newest intact one.

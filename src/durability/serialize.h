@@ -14,8 +14,7 @@ namespace htune {
 /// snapshots. The encoding is deliberately trivial — no varints, no
 /// alignment, no schema evolution beyond the journal's version header — so
 /// that encoding the same logical state always yields the same bytes
-/// (replay verification compares records bitwise) and the Python inspector
-/// can parse it with struct.unpack.
+/// (replay verification compares records bitwise).
 class Encoder {
  public:
   void PutU8(uint8_t v);

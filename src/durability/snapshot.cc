@@ -29,20 +29,6 @@ Status DecodeRepetition(Decoder& decoder, RepetitionOutcome& rep) {
   return decoder.GetBool(&rep.correct);
 }
 
-void EncodeRngState(const Random::State& rng, Encoder& encoder) {
-  for (uint64_t word : rng.engine) encoder.PutU64(word);
-  encoder.PutBool(rng.has_cached_normal);
-  encoder.PutDouble(rng.cached_normal);
-}
-
-Status DecodeRngState(Decoder& decoder, Random::State& rng) {
-  for (uint64_t& word : rng.engine) {
-    HTUNE_RETURN_IF_ERROR(decoder.GetU64(&word));
-  }
-  HTUNE_RETURN_IF_ERROR(decoder.GetBool(&rng.has_cached_normal));
-  return decoder.GetDouble(&rng.cached_normal);
-}
-
 void EncodeEvent(const MarketState::Event& event, Encoder& encoder) {
   encoder.PutDouble(event.time);
   encoder.PutU64(event.sequence);
@@ -130,6 +116,20 @@ Status DecodeVector(Decoder& decoder, size_t min_element_bytes, Fn element,
 }
 
 }  // namespace
+
+void EncodeRngState(const Random::State& rng, Encoder& encoder) {
+  for (uint64_t word : rng.engine) encoder.PutU64(word);
+  encoder.PutBool(rng.has_cached_normal);
+  encoder.PutDouble(rng.cached_normal);
+}
+
+Status DecodeRngState(Decoder& decoder, Random::State& rng) {
+  for (uint64_t& word : rng.engine) {
+    HTUNE_RETURN_IF_ERROR(decoder.GetU64(&word));
+  }
+  HTUNE_RETURN_IF_ERROR(decoder.GetBool(&rng.has_cached_normal));
+  return decoder.GetDouble(&rng.cached_normal);
+}
 
 void EncodeTaskOutcome(const TaskOutcome& outcome, Encoder& encoder) {
   encoder.PutU64(outcome.id);
@@ -250,12 +250,6 @@ std::string EncodeMarketState(const MarketState& state) {
   Encoder encoder;
   encoder.PutU64(kSnapshotMagic);
   encoder.PutU32(kSnapshotVersion);
-  EncodeMarketStateBody(state, encoder);
-  return std::move(encoder).Release();
-}
-
-std::string EncodeMarketStateLegacyV1(const MarketState& state) {
-  Encoder encoder;
   EncodeMarketStateBody(state, encoder);
   return std::move(encoder).Release();
 }

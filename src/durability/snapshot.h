@@ -22,11 +22,6 @@ namespace htune {
 /// backing array verbatim — is still decoded transparently.
 std::string EncodeMarketState(const MarketState& state);
 
-/// Encodes in the historical v1 format (no header, events in whatever
-/// order `state.events` holds). Kept for compatibility tests that need to
-/// fabricate pre-v2 journals; new snapshots always use v2.
-std::string EncodeMarketStateLegacyV1(const MarketState& state);
-
 /// Inverse of EncodeMarketState; accepts v1 and v2 bytes (sniffed via the
 /// v2 magic). Returns InvalidArgument on truncated or structurally corrupt
 /// input (never crashes on hostile bytes); semantic validation beyond shape
@@ -34,7 +29,9 @@ std::string EncodeMarketStateLegacyV1(const MarketState& state);
 /// MarketSimulator::RestoreState.
 StatusOr<MarketState> DecodeMarketState(std::string_view bytes);
 
-/// Sub-codecs shared with executor-state serialization.
+/// Sub-codecs shared with executor-state and shared-market serialization.
+void EncodeRngState(const Random::State& rng, Encoder& encoder);
+Status DecodeRngState(Decoder& decoder, Random::State& rng);
 void EncodeTraceEvents(const std::vector<TraceEvent>& events,
                        Encoder& encoder);
 Status DecodeTraceEvents(Decoder& decoder, std::vector<TraceEvent>& events);

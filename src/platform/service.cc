@@ -5,6 +5,7 @@
 
 #include "control/dilution.h"
 #include "durability/journal.h"
+#include "durability/records.h"
 #include "durability/serialize.h"
 #include "durability/snapshot.h"
 #include "obs/obs.h"
@@ -14,45 +15,9 @@ namespace htune {
 
 namespace {
 
-constexpr uint32_t kFingerprintVersion = 1;
-constexpr uint32_t kServiceSnapshotVersion = 1;
-constexpr uint32_t kJobRunStartVersion = 1;
-constexpr uint32_t kJobRunEndVersion = 1;
-
 /// Safety horizon in review epochs: only a simulation that stopped making
 /// progress (no acceptances forever) can reach it.
 constexpr uint64_t kMaxReviewEpochs = 10'000'000;
-
-std::string EncodeJobRunStart(uint64_t job_id, const std::string& name) {
-  Encoder e;
-  e.PutU32(kJobRunStartVersion);
-  e.PutU64(job_id);
-  e.PutString(name);
-  return e.Release();
-}
-
-std::string EncodeJobRunEnd(const std::string& report_bytes,
-                            const std::string& trace_bytes) {
-  Encoder e;
-  e.PutU32(kJobRunEndVersion);
-  e.PutString(report_bytes);
-  e.PutString(trace_bytes);
-  return e.Release();
-}
-
-Status DecodeJobRunEnd(std::string_view payload, std::string* report_bytes,
-                       std::string* trace_bytes) {
-  Decoder d(payload);
-  uint32_t version = 0;
-  HTUNE_RETURN_IF_ERROR(d.GetU32(&version));
-  if (version != kJobRunEndVersion) {
-    return InvalidArgumentError("shared service: unsupported kRunEnd v" +
-                                std::to_string(version));
-  }
-  HTUNE_RETURN_IF_ERROR(d.GetString(report_bytes));
-  HTUNE_RETURN_IF_ERROR(d.GetString(trace_bytes));
-  return d.ExpectDone();
-}
 
 }  // namespace
 
@@ -67,8 +32,7 @@ struct SharedMarketService::ActiveJob {
   /// Journaled kRunEnd artifacts from a previous (killed) run, for the
   /// exactly-once bitwise verification.
   bool has_run_end = false;
-  std::string journaled_report;
-  std::string journaled_trace;
+  JobRunEndRecord journaled;
   bool finalized = false;
   JobOutcome outcome;
 };
@@ -76,26 +40,6 @@ struct SharedMarketService::ActiveJob {
 SharedMarketService::SharedMarketService(FleetStorageProvider* provider,
                                          SharedServiceConfig config)
     : provider_(provider), config_(std::move(config)) {}
-
-std::string SharedMarketService::Fingerprint(
-    const std::vector<ActiveJob>& jobs) {
-  Encoder e;
-  e.PutU32(kFingerprintVersion);
-  uint64_t competitors = 0;
-  for (const ActiveJob& job : jobs) {
-    if (job.create_status.ok()) {
-      ++competitors;
-    }
-  }
-  e.PutU64(competitors);
-  for (const ActiveJob& job : jobs) {
-    if (job.create_status.ok()) {
-      e.PutU64(job.run.job_id);
-      e.PutU64(job.session->seed());
-    }
-  }
-  return e.Release();
-}
 
 StatusOr<std::vector<SharedJobDriver::JobOutcome>>
 SharedMarketService::RunJobs(std::vector<JobRun> runs) {
@@ -147,8 +91,7 @@ SharedMarketService::RunJobs(std::vector<JobRun> runs) {
     }
     for (const JournalRecord& record : contents->records) {
       if (record.type == JournalRecordType::kRunEnd) {
-        const Status decoded = DecodeJobRunEnd(
-            record.payload, &job.journaled_report, &job.journaled_trace);
+        const Status decoded = DecodeRecord(record.payload, &job.journaled);
         if (!decoded.ok()) {
           job.create_status = InternalError(
               "journaled kRunEnd is undecodable: " + decoded.ToString());
@@ -168,7 +111,7 @@ SharedMarketService::RunJobs(std::vector<JobRun> runs) {
     if (contents->records.empty()) {
       const Status started = job.writer->Append(
           JournalRecordType::kRunStart,
-          EncodeJobRunStart(job.run.job_id, job.run.spec.name));
+          EncodeRecord(JobRunStartRecord{job.run.job_id, job.run.spec.name}));
       const Status flushed =
           started.ok() ? job.writer->Flush() : started;
       if (!flushed.ok()) {
@@ -204,7 +147,14 @@ SharedMarketService::RunJobs(std::vector<JobRun> runs) {
   if (!service_contents.ok()) {
     return service_contents.status();
   }
-  const std::string fingerprint = Fingerprint(jobs);
+  // The gang fingerprint: the byte string that names one generation.
+  GangFingerprintRecord gang;
+  for (const ActiveJob& job : jobs) {
+    if (job.create_status.ok()) {
+      gang.jobs.emplace_back(job.run.job_id, job.session->seed());
+    }
+  }
+  const std::string fingerprint = EncodeRecord(gang);
   const std::string* snapshot_payload = nullptr;
   bool generation_matches = false;
   for (const JournalRecord& record : service_contents->records) {
@@ -225,31 +175,17 @@ SharedMarketService::RunJobs(std::vector<JobRun> runs) {
   uint64_t review_epoch = 0;
   if (snapshot_payload != nullptr) {
     // Resume: the engine state carries everything but the session counters.
-    Decoder d(*snapshot_payload);
-    uint32_t version = 0;
-    HTUNE_RETURN_IF_ERROR(d.GetU32(&version));
-    if (version != kServiceSnapshotVersion) {
-      return InternalError("shared service: unsupported snapshot v" +
-                           std::to_string(version));
-    }
-    HTUNE_RETURN_IF_ERROR(d.GetU64(&review_epoch));
-    std::string market_state;
-    HTUNE_RETURN_IF_ERROR(d.GetString(&market_state));
-    HTUNE_RETURN_IF_ERROR(market.RestoreState(market_state));
-    uint64_t session_count = 0;
-    HTUNE_RETURN_IF_ERROR(d.GetU64(&session_count));
-    for (uint64_t i = 0; i < session_count; ++i) {
-      uint64_t job_id = 0;
-      std::string counters;
-      HTUNE_RETURN_IF_ERROR(d.GetU64(&job_id));
-      HTUNE_RETURN_IF_ERROR(d.GetString(&counters));
+    ServiceSnapshotRecord snapshot;
+    HTUNE_RETURN_IF_ERROR(DecodeRecord(*snapshot_payload, &snapshot));
+    review_epoch = snapshot.review_epoch;
+    HTUNE_RETURN_IF_ERROR(market.RestoreState(snapshot.market));
+    for (const auto& [job_id, counters] : snapshot.sessions) {
       for (ActiveJob& job : jobs) {
         if (job.run.job_id == job_id && job.session != nullptr) {
           HTUNE_RETURN_IF_ERROR(job.session->RestoreCounters(counters));
         }
       }
     }
-    HTUNE_RETURN_IF_ERROR(d.ExpectDone());
     ++counts_.resumes;
     HTUNE_OBS_COUNTER_ADD("platform.service_resumes", 1);
   } else {
@@ -272,14 +208,13 @@ SharedMarketService::RunJobs(std::vector<JobRun> runs) {
 
   // Finalization: exactly-once kRunEnd with bitwise replay verification.
   auto finalize = [&](ActiveJob& job) -> Status {
-    const SessionReport report = job.session->Report(market);
-    const std::string report_bytes = EncodeSessionReport(report);
     Encoder trace_encoder;
     EncodeTraceEvents(market.Trace(job.run.job_id), trace_encoder);
-    std::string trace_bytes = trace_encoder.Release();
+    JobRunEndRecord end{EncodeSessionReport(job.session->Report(market)),
+                        trace_encoder.Release()};
     if (job.has_run_end) {
-      if (job.journaled_report != report_bytes ||
-          job.journaled_trace != trace_bytes) {
+      if (job.journaled.report != end.report ||
+          job.journaled.trace != end.trace) {
         job.outcome.status = InternalError(
             "re-completed job disagrees with its journaled kRunEnd");
         job.outcome.detail = "shared replay";
@@ -288,8 +223,7 @@ SharedMarketService::RunJobs(std::vector<JobRun> runs) {
       }
     } else {
       const Status appended =
-          job.writer->Append(JournalRecordType::kRunEnd,
-                             EncodeJobRunEnd(report_bytes, trace_bytes));
+          job.writer->Append(JournalRecordType::kRunEnd, EncodeRecord(end));
       const Status flushed = appended.ok() ? job.writer->Flush() : appended;
       if (!flushed.ok()) {
         if (flushed.code() == StatusCode::kResourceExhausted) {
@@ -301,8 +235,8 @@ SharedMarketService::RunJobs(std::vector<JobRun> runs) {
       }
     }
     job.outcome.status = OkStatus();
-    job.outcome.result.report_bytes = report_bytes;
-    job.outcome.result.trace_bytes = std::move(trace_bytes);
+    job.outcome.result.report_bytes = std::move(end.report);
+    job.outcome.result.trace_bytes = std::move(end.trace);
     job.outcome.journal_bytes =
         job.writer != nullptr ? job.writer->valid_bytes()
                               : job.run.start_valid_bytes;
@@ -350,25 +284,17 @@ SharedMarketService::RunJobs(std::vector<JobRun> runs) {
     if (review_epoch %
             static_cast<uint64_t>(config_.market.snapshot_interval) ==
         0) {
-      Encoder e;
-      e.PutU32(kServiceSnapshotVersion);
-      e.PutU64(review_epoch);
-      e.PutString(market.CaptureState());
-      uint64_t session_count = 0;
+      ServiceSnapshotRecord snapshot;
+      snapshot.review_epoch = review_epoch;
+      snapshot.market = market.CaptureState();
       for (const ActiveJob& job : jobs) {
         if (job.create_status.ok()) {
-          ++session_count;
-        }
-      }
-      e.PutU64(session_count);
-      for (const ActiveJob& job : jobs) {
-        if (job.create_status.ok()) {
-          e.PutU64(job.run.job_id);
-          e.PutString(job.session->CaptureCounters());
+          snapshot.sessions.emplace_back(job.run.job_id,
+                                         job.session->CaptureCounters());
         }
       }
       HTUNE_RETURN_IF_ERROR(service_writer.Append(
-          JournalRecordType::kSnapshot, e.Release()));
+          JournalRecordType::kSnapshot, EncodeRecord(snapshot)));
       HTUNE_RETURN_IF_ERROR(service_writer.Flush());
       ++counts_.snapshots;
       HTUNE_OBS_COUNTER_ADD("platform.service_snapshots", 1);

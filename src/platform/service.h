@@ -75,9 +75,6 @@ class SharedMarketService : public SharedJobDriver {
  private:
   struct ActiveJob;
 
-  /// The gang fingerprint: the byte string that names one generation.
-  static std::string Fingerprint(const std::vector<ActiveJob>& jobs);
-
   FleetStorageProvider* provider_;
   SharedServiceConfig config_;
   ServiceCounts counts_;

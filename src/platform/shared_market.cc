@@ -22,22 +22,6 @@ constexpr uint32_t kSharedMarketStateVersion = 1;
 /// impossible configuration (all weights zero forever) can reach it.
 constexpr uint64_t kMaxArrivalsPerRun = 500'000'000;
 
-void EncodeRngState(const Random::State& state, Encoder& e) {
-  for (const uint64_t word : state.engine) {
-    e.PutU64(word);
-  }
-  e.PutBool(state.has_cached_normal);
-  e.PutDouble(state.cached_normal);
-}
-
-Status DecodeRngState(Decoder& d, Random::State* state) {
-  for (uint64_t& word : state->engine) {
-    HTUNE_RETURN_IF_ERROR(d.GetU64(&word));
-  }
-  HTUNE_RETURN_IF_ERROR(d.GetBool(&state->has_cached_normal));
-  return d.GetDouble(&state->cached_normal);
-}
-
 /// One weight unit, and units per unit of curve rate (the grid of the
 /// determinism contract). Multiplying by either is exact.
 constexpr double kUnitWeight = 0x1p-20;
@@ -691,7 +675,7 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
   HTUNE_RETURN_IF_ERROR(d.GetDouble(&stream.now));
   HTUNE_RETURN_IF_ERROR(d.GetDouble(&stream.next_arrival_time));
   HTUNE_RETURN_IF_ERROR(d.GetU64(&stream.arrivals));
-  HTUNE_RETURN_IF_ERROR(DecodeRngState(d, &stream.rng));
+  HTUNE_RETURN_IF_ERROR(DecodeRngState(d, stream.rng));
   double restored_now = 0.0;
   uint64_t event_sequence = 0;
   HTUNE_RETURN_IF_ERROR(d.GetDouble(&restored_now));
@@ -733,7 +717,7 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
     }
     SharedJob job(job_id, /*seed=*/0);
     Random::State rng;
-    HTUNE_RETURN_IF_ERROR(DecodeRngState(d, &rng));
+    HTUNE_RETURN_IF_ERROR(DecodeRngState(d, rng));
     job.rng.RestoreState(rng);
     HTUNE_RETURN_IF_ERROR(d.GetU64(&job.next_task));
     int64_t spent = 0;

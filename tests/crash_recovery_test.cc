@@ -23,6 +23,7 @@
 #include "durability/snapshot.h"
 #include "market/fault_schedule.h"
 #include "market/simulator.h"
+#include "market_state_v1.h"
 #include "model/price_rate_curve.h"
 #include "tuning/repetition_allocator.h"
 

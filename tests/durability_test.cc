@@ -20,6 +20,7 @@
 #include "durability/serialize.h"
 #include "durability/snapshot.h"
 #include "market/simulator.h"
+#include "market_state_v1.h"
 #include "model/price_rate_curve.h"
 
 namespace htune {

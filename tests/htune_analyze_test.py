@@ -131,11 +131,11 @@ class RealTreeMutationTest(unittest.TestCase):
         messages = [str(f) for f in findings]
         self.assertTrue(
             any("kPhantom" in m for m in messages), messages)
-        # The ToString switch, the FromString table, the decode bound,
-        # and the Python dict must all complain.
+        # The ToString switch, the FromString table and the decode bound
+        # must all complain.
         self.assertGreaterEqual(
             sum("kPhantom" in m or "TraceEventKind" in m
-                for m in messages), 4, messages)
+                for m in messages), 3, messages)
 
     def test_reversed_real_lock_pair_fails(self):
         # ThreadPool's two real locks, the pool queue's impl_->mu and the

@@ -7,7 +7,7 @@ Three whole-tree checks (see DESIGN.md §14):
   lock      — the nested-lock acquisition graph is acyclic and every
               observed edge is declared in lock_order.toml.
   schema    — every enumerator of the serialized enums is handled on all
-              of its encode, decode, and Python-side dispatch surfaces.
+              of its encode and decode dispatch surfaces.
 
 Declarations come from `clang -Xclang -ast-dump=json` per translation unit
 when a compile database and clang are available (astdump.py, cached by

@@ -2,10 +2,9 @@
 
 The serialized enums (trace event kinds, journal/manifest record types,
 fleet job states, wire commands) each have several dispatch surfaces:
-C++ encode/decode switches, decode upper bounds, and Python-side dict
-tables in tools/journal_inspect.py. Adding an enumerator in one place
-and not the others corrupts replay or inspection silently; this check
-makes it a build failure.
+C++ encode/decode switches and decode upper bounds. Adding an enumerator
+in one place and not the others corrupts replay or inspection silently;
+this check makes it a build failure.
 
 analyze.toml declares each enum and its surfaces:
 
@@ -20,10 +19,6 @@ analyze.toml declares each enum and its surfaces:
     kind = "cpp-max-enumerator"    # the decode bound names the last
     file = "src/durability/snapshot.cc"   # enumerator: pattern has
     pattern = "TraceEventKind::{last}"    # {last} substituted
-    [[schema.enum.surface]]
-    kind = "py-dict"               # module-level dict literal whose int
-    file = "tools/journal_inspect.py"     # keys equal the enumerator
-    dict = "TRACE_EVENT_KINDS"            # value set, both directions
 
 String-valued protocols use [[schema.stringset]] with literal `values`
 and `cpp-dispatch` surfaces: `pattern` ({value} substituted) must match
@@ -34,7 +29,6 @@ command to the server without declaring it here also fails.
 
 from __future__ import annotations
 
-import ast
 import os
 import re
 from typing import Dict, List, Optional
@@ -121,61 +115,9 @@ def _check_cpp_max(model: Model, root: str, enum: EnumDecl,
     return []
 
 
-def _py_module_dict(text: str, name: str) -> Optional[Dict]:
-    try:
-        tree = ast.parse(text)
-    except SyntaxError:
-        return None
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name) and target.id == name:
-                if isinstance(node.value, ast.Dict):
-                    try:
-                        return {ast.literal_eval(k): True
-                                for k in node.value.keys if k is not None}
-                    except ValueError:
-                        return None
-    return None
-
-
-def _check_py_dict(model: Model, root: str, enum: EnumDecl,
-                   ignore: set, surface: dict) -> List[Finding]:
-    file = surface.get("file", "?")
-    dict_name = surface.get("dict", "?")
-    text = _read(root, file, stripped=False)
-    if text is None:
-        return [Finding("schema", file, 0,
-                        f"surface for {enum.name} not found: {file}")]
-    table = _py_module_dict(text, dict_name)
-    if table is None:
-        return [Finding(
-            "schema", file, 0,
-            f"no module-level dict literal '{dict_name}' in {file} "
-            f"(surface for {enum.name})")]
-    expected = {value: name for name, value in enum.enumerators
-                if value is not None and name not in ignore}
-    findings = []
-    for value, name in sorted(expected.items()):
-        if value not in table:
-            findings.append(Finding(
-                "schema", file, 0,
-                f"{enum.name}::{name} (= {value}) is missing from "
-                f"{dict_name} in {file}"))
-    for key in sorted(k for k in table if isinstance(k, int)):
-        if key not in expected:
-            findings.append(Finding(
-                "schema", file, 0,
-                f"{dict_name} in {file} maps unknown value {key} — no "
-                f"such {enum.name} enumerator"))
-    return findings
-
-
 _ENUM_SURFACES = {
     "cpp-name": _check_cpp_name,
     "cpp-max-enumerator": _check_cpp_max,
-    "py-dict": _check_py_dict,
 }
 
 

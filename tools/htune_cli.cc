@@ -11,6 +11,7 @@
 //   htune_cli serve <fleet-spec> --dir=PATH --socket=PATH [--max-running=N]
 //   htune_cli submit-jobs <fleet-spec> --socket=PATH [--run] [--shutdown]
 //   htune_cli scrape --socket=PATH [--out=PATH]
+//   htune_cli inspect {dump,verify,ledger,manifest} <file>
 //
 // Every command accepts --metrics=PATH: after the command finishes, the
 // observability registry (counters/gauges/histograms) and the span ring are
@@ -36,6 +37,7 @@
 #include "market/simulator.h"
 #include "market/trace_io.h"
 #include "fleet/supervisor.h"
+#include "platform/inspect.h"
 #include "platform/server.h"
 #include "platform/service.h"
 #include "platform/wire.h"
@@ -82,9 +84,10 @@ void Usage(const char* argv0) {
       "                               resumes on startup)\n"
       "  %s submit-jobs <fleet-spec> --socket=PATH [--run] [--shutdown]\n"
       "  %s scrape --socket=PATH [--out=PATH]\n"
+      "  %s inspect dump|verify|ledger|manifest <journal-or-manifest>\n"
       "allocators: ra (default), ra-exact, ha, ea, rep-even, task-even\n"
-      "every command accepts --metrics=PATH (JSON; '-' prints a table)\n",
-      argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
+      "all but inspect accept --metrics=PATH (JSON; '-' prints a table)\n",
+      argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
 }
 
 std::unique_ptr<htune::BudgetAllocator> MakeAllocator(
@@ -293,9 +296,10 @@ int RunDurable(const htune::JobSpec& spec, const std::string& journal_path,
   const auto final_journal = htune::OpenJournal(storage);
   if (final_journal.ok()) {
     std::printf("journal now holds %zu records (%llu bytes); verify with "
-                "tools/journal_inspect.py\n",
+                "htune_cli inspect verify %s\n",
                 final_journal->records.size(),
-                static_cast<unsigned long long>(final_journal->valid_bytes));
+                static_cast<unsigned long long>(final_journal->valid_bytes),
+                journal_path.c_str());
   }
   return 0;
 }
@@ -704,6 +708,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
+  if (command == "inspect") {
+    std::string report;
+    const int exit_code =
+        argc == 4 ? htune::InspectFile(argv[2], argv[3], &report) : 2;
+    std::fputs(report.c_str(), stdout);
+    if (exit_code == 2) {
+      Usage(argv[0]);
+    }
+    return exit_code;
+  }
   const std::string metrics_path = FlagValue(argc, argv, "--metrics", "");
   int exit_code = 2;
   bool known_command = true;
