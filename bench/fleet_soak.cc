@@ -41,6 +41,7 @@
 #include "fleet/supervisor.h"
 #include "resilience/fault_injector.h"
 #include "rng/splitmix64.h"
+#include "spec/fleet_spec.h"
 #include "spec/job_spec.h"
 #include "tuning/repetition_allocator.h"
 
@@ -87,13 +88,7 @@ FleetJobSpec MakeJob(const std::string& spec_text, int index) {
 uint32_t DirectRunOnce(const FleetJobSpec& spec) {
   const auto parsed = ParseJobSpec(spec.spec_text);
   if (!parsed.ok()) std::abort();
-  MarketConfig market;
-  market.worker_arrival_rate = parsed->arrival_rate;
-  market.worker_error_prob = parsed->worker_error_prob;
-  market.abandon_prob = parsed->abandon_prob;
-  market.abandon_hold_rate = parsed->abandon_hold_rate;
-  market.seed = static_cast<uint64_t>(spec.seed_override);
-  market.record_trace = true;
+  const MarketConfig market = MarketConfigFor(*parsed, JobSeed(spec, *parsed));
   const std::vector<QuestionSpec> questions(
       static_cast<size_t>(parsed->problem.TotalTasks()), QuestionSpec{});
   const RepetitionAllocator allocator;

@@ -88,7 +88,8 @@ class AdaptiveRetuner {
   /// owning the market (fresh from `market_config`, or restored from the
   /// newest intact snapshot) so a killed run resumes where it crashed. See
   /// FaultTolerantExecutor::RunDurable for the recovery contract — bitwise
-  /// replay verification, exactly-once payments, identical final report.
+  /// replay verification, exactly-once payments, identical final report,
+  /// and checkpoint-and-park ("parked: ...") on an exhausted retry budget.
   /// Snapshots serialize curve references as indices into
   /// `market_truth_per_group`, so recovery must be configured with the same
   /// curves.

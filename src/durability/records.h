@@ -146,12 +146,26 @@ struct ServiceSnapshotRecord {
 
 namespace record_codec {
 
+// Exact types only: the deleted templates turn what would be a silent
+// promotion (a uint16_t written as an int32_t, say) into a compile error.
+template <typename T>
+void Put(Encoder& e, const T& v) = delete;
+template <typename T>
+Status Get(Decoder& d, T& v) = delete;
+
+inline void Put(Encoder& e, bool v) { e.PutBool(v); }
+inline void Put(Encoder& e, uint8_t v) { e.PutU8(v); }
 inline void Put(Encoder& e, int32_t v) { e.PutI32(v); }
 inline void Put(Encoder& e, int64_t v) { e.PutI64(v); }
 inline void Put(Encoder& e, uint64_t v) { e.PutU64(v); }
 inline void Put(Encoder& e, double v) { e.PutDouble(v); }
 inline void Put(Encoder& e, const std::string& v) { e.PutString(v); }
 inline void Put(Encoder& e, const std::vector<int>& v) { e.PutI32Vector(v); }
+inline void Put(Encoder& e, const std::vector<double>& v) {
+  e.PutDoubleVector(v);
+}
+inline Status Get(Decoder& d, bool& v) { return d.GetBool(&v); }
+inline Status Get(Decoder& d, uint8_t& v) { return d.GetU8(&v); }
 inline Status Get(Decoder& d, int32_t& v) { return d.GetI32(&v); }
 inline Status Get(Decoder& d, int64_t& v) { return d.GetI64(&v); }
 inline Status Get(Decoder& d, uint64_t& v) { return d.GetU64(&v); }
@@ -159,6 +173,9 @@ inline Status Get(Decoder& d, double& v) { return d.GetDouble(&v); }
 inline Status Get(Decoder& d, std::string& v) { return d.GetString(&v); }
 inline Status Get(Decoder& d, std::vector<int>& v) {
   return d.GetI32Vector(&v);
+}
+inline Status Get(Decoder& d, std::vector<double>& v) {
+  return d.GetDoubleVector(&v);
 }
 
 /// A u64 count, then each pair's two fields.
@@ -187,6 +204,21 @@ Status Get(Decoder& d, std::vector<std::pair<A, B>>& pairs) {
 
 }  // namespace record_codec
 
+/// Each field in order, through the overloads above. Also the codec of the
+/// controllers' snapshot blobs, whose frozen layouts interleave several
+/// structs, so no one kFields list describes them.
+template <typename... Fields>
+void PutFields(Encoder& e, const Fields&... fields) {
+  (record_codec::Put(e, fields), ...);
+}
+
+template <typename... Fields>
+Status GetFields(Decoder& d, Fields&... fields) {
+  Status status;
+  (void)(... && (status = record_codec::Get(d, fields)).ok());
+  return status;
+}
+
 template <typename Record>
 std::string EncodeRecord(const Record& record) {
   Encoder e;
@@ -194,9 +226,7 @@ std::string EncodeRecord(const Record& record) {
     e.PutU32(Record::kVersion);
   }
   std::apply(
-      [&](const auto&... field) {
-        (record_codec::Put(e, record.*field.second), ...);
-      },
+      [&](const auto&... field) { PutFields(e, record.*field.second...); },
       Record::kFields);
   return e.Release();
 }
@@ -212,14 +242,11 @@ Status DecodeRecord(std::string_view payload, Record* record) {
                                   std::to_string(version));
     }
   }
-  Status status;
-  std::apply(
+  HTUNE_RETURN_IF_ERROR(std::apply(
       [&](const auto&... field) {
-        (void)(... &&
-               (status = record_codec::Get(d, record->*field.second)).ok());
+        return GetFields(d, record->*field.second...);
       },
-      Record::kFields);
-  HTUNE_RETURN_IF_ERROR(status);
+      Record::kFields));
   return d.ExpectDone();
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/status.h"
+#include "durability/records.h"
 
 namespace htune {
 
@@ -30,67 +31,38 @@ Status DecodeRepetition(Decoder& decoder, RepetitionOutcome& rep) {
 }
 
 void EncodeEvent(const MarketState::Event& event, Encoder& encoder) {
-  encoder.PutDouble(event.time);
-  encoder.PutU64(event.sequence);
-  encoder.PutU64(event.task);
-  encoder.PutU8(event.kind);
-  encoder.PutU64(event.generation);
+  PutFields(encoder, event.time, event.sequence, event.task, event.kind,
+            event.generation);
 }
 
 Status DecodeEvent(Decoder& decoder, MarketState::Event& event) {
-  HTUNE_RETURN_IF_ERROR(decoder.GetDouble(&event.time));
-  HTUNE_RETURN_IF_ERROR(decoder.GetU64(&event.sequence));
-  HTUNE_RETURN_IF_ERROR(decoder.GetU64(&event.task));
-  HTUNE_RETURN_IF_ERROR(decoder.GetU8(&event.kind));
-  return decoder.GetU64(&event.generation);
+  return GetFields(decoder, event.time, event.sequence, event.task,
+                   event.kind, event.generation);
 }
 
 void EncodeTask(const MarketState::Task& task, Encoder& encoder) {
-  encoder.PutU64(task.id);
-  encoder.PutI32(task.price_per_repetition);
-  encoder.PutI32(task.repetitions);
-  encoder.PutDouble(task.on_hold_rate);
-  encoder.PutI32Vector(task.spec_prices);
-  encoder.PutDoubleVector(task.spec_rates);
-  encoder.PutI32(task.spec_curve);
-  encoder.PutDouble(task.processing_rate);
-  encoder.PutDouble(task.acceptance_timeout);
-  encoder.PutI32(task.true_answer);
-  encoder.PutI32(task.num_options);
-  encoder.PutI32Vector(task.rep_prices);
-  encoder.PutDoubleVector(task.rep_rates);
-  encoder.PutI32(task.effective_curve);
+  PutFields(encoder, task.id, task.price_per_repetition, task.repetitions,
+            task.on_hold_rate, task.spec_prices, task.spec_rates,
+            task.spec_curve, task.processing_rate, task.acceptance_timeout,
+            task.true_answer, task.num_options, task.rep_prices,
+            task.rep_rates, task.effective_curve);
   EncodeTaskOutcome(task.outcome, encoder);
-  encoder.PutI32(task.next_repetition);
-  encoder.PutBool(task.awaiting_acceptance);
-  encoder.PutDouble(task.current_posted_time);
-  encoder.PutU64(task.exposure_generation);
-  encoder.PutI32(task.reprice_price);
-  encoder.PutDouble(task.reprice_rate);
+  PutFields(encoder, task.next_repetition, task.awaiting_acceptance,
+            task.current_posted_time, task.exposure_generation,
+            task.reprice_price, task.reprice_rate);
 }
 
 Status DecodeTask(Decoder& decoder, MarketState::Task& task) {
-  HTUNE_RETURN_IF_ERROR(decoder.GetU64(&task.id));
-  HTUNE_RETURN_IF_ERROR(decoder.GetI32(&task.price_per_repetition));
-  HTUNE_RETURN_IF_ERROR(decoder.GetI32(&task.repetitions));
-  HTUNE_RETURN_IF_ERROR(decoder.GetDouble(&task.on_hold_rate));
-  HTUNE_RETURN_IF_ERROR(decoder.GetI32Vector(&task.spec_prices));
-  HTUNE_RETURN_IF_ERROR(decoder.GetDoubleVector(&task.spec_rates));
-  HTUNE_RETURN_IF_ERROR(decoder.GetI32(&task.spec_curve));
-  HTUNE_RETURN_IF_ERROR(decoder.GetDouble(&task.processing_rate));
-  HTUNE_RETURN_IF_ERROR(decoder.GetDouble(&task.acceptance_timeout));
-  HTUNE_RETURN_IF_ERROR(decoder.GetI32(&task.true_answer));
-  HTUNE_RETURN_IF_ERROR(decoder.GetI32(&task.num_options));
-  HTUNE_RETURN_IF_ERROR(decoder.GetI32Vector(&task.rep_prices));
-  HTUNE_RETURN_IF_ERROR(decoder.GetDoubleVector(&task.rep_rates));
-  HTUNE_RETURN_IF_ERROR(decoder.GetI32(&task.effective_curve));
+  HTUNE_RETURN_IF_ERROR(GetFields(
+      decoder, task.id, task.price_per_repetition, task.repetitions,
+      task.on_hold_rate, task.spec_prices, task.spec_rates, task.spec_curve,
+      task.processing_rate, task.acceptance_timeout, task.true_answer,
+      task.num_options, task.rep_prices, task.rep_rates,
+      task.effective_curve));
   HTUNE_RETURN_IF_ERROR(DecodeTaskOutcome(decoder, task.outcome));
-  HTUNE_RETURN_IF_ERROR(decoder.GetI32(&task.next_repetition));
-  HTUNE_RETURN_IF_ERROR(decoder.GetBool(&task.awaiting_acceptance));
-  HTUNE_RETURN_IF_ERROR(decoder.GetDouble(&task.current_posted_time));
-  HTUNE_RETURN_IF_ERROR(decoder.GetU64(&task.exposure_generation));
-  HTUNE_RETURN_IF_ERROR(decoder.GetI32(&task.reprice_price));
-  return decoder.GetDouble(&task.reprice_rate);
+  return GetFields(decoder, task.next_repetition, task.awaiting_acceptance,
+                   task.current_posted_time, task.exposure_generation,
+                   task.reprice_price, task.reprice_rate);
 }
 
 /// Reads `count` elements with `element`, guarding against hostile counts:
@@ -195,12 +167,9 @@ constexpr uint64_t kSnapshotMagic = 0xFFF7485453563200ULL;
 constexpr uint32_t kSnapshotVersion = 2;
 
 void EncodeMarketStateBody(const MarketState& state, Encoder& encoder) {
-  encoder.PutDouble(state.now);
-  encoder.PutDouble(state.next_arrival_time);
-  encoder.PutU64(state.next_worker);
-  encoder.PutU64(state.next_task);
-  encoder.PutU64(state.event_sequence);
-  encoder.PutI64(state.total_spent);
+  PutFields(encoder, state.now, state.next_arrival_time, state.next_worker,
+            state.next_task, state.event_sequence,
+            int64_t{state.total_spent});
   EncodeRngState(state.rng, encoder);
   encoder.PutU64(state.events.size());
   for (const MarketState::Event& event : state.events) {
@@ -220,13 +189,10 @@ void EncodeMarketStateBody(const MarketState& state, Encoder& encoder) {
 }
 
 Status DecodeMarketStateBody(Decoder& decoder, MarketState& state) {
-  HTUNE_RETURN_IF_ERROR(decoder.GetDouble(&state.now));
-  HTUNE_RETURN_IF_ERROR(decoder.GetDouble(&state.next_arrival_time));
-  HTUNE_RETURN_IF_ERROR(decoder.GetU64(&state.next_worker));
-  HTUNE_RETURN_IF_ERROR(decoder.GetU64(&state.next_task));
-  HTUNE_RETURN_IF_ERROR(decoder.GetU64(&state.event_sequence));
   int64_t total_spent = 0;
-  HTUNE_RETURN_IF_ERROR(decoder.GetI64(&total_spent));
+  HTUNE_RETURN_IF_ERROR(GetFields(decoder, state.now, state.next_arrival_time,
+                                  state.next_worker, state.next_task,
+                                  state.event_sequence, total_spent));
   state.total_spent = static_cast<long>(total_spent);
   HTUNE_RETURN_IF_ERROR(DecodeRngState(decoder, state.rng));
   HTUNE_RETURN_IF_ERROR(

@@ -13,9 +13,11 @@
 #include "control/adaptive_retuner.h"
 #include "control/fault_tolerant_executor.h"
 #include "durability/crc32c.h"
+#include "durability/records.h"
 #include "durability/serialize.h"
 #include "durability/snapshot.h"
 #include "obs/obs.h"
+#include "spec/fleet_spec.h"
 #include "spec/job_spec.h"
 #include "tuning/repetition_allocator.h"
 
@@ -61,17 +63,10 @@ bool ParseJournalPathId(const std::string& path, uint64_t* job_id) {
 /// comparison against a reference run and for the completion digest.
 std::string EncodeFaultTolerantReport(const FaultTolerantReport& report) {
   Encoder e;
-  e.PutDouble(report.latency);
-  e.PutI64(report.spent);
-  e.PutI32(report.reviews);
-  e.PutI32(report.stragglers);
-  e.PutI32(report.escalations);
-  e.PutI32(report.abandoned_attempts);
-  e.PutI32(report.expired_posts);
-  e.PutBool(report.degraded);
-  e.PutI32(report.floor_repetitions);
-  e.PutBool(report.deadline_expired);
-  e.PutU64(report.answers.size());
+  PutFields(e, report.latency, int64_t{report.spent}, report.reviews,
+            report.stragglers, report.escalations, report.abandoned_attempts,
+            report.expired_posts, report.degraded, report.floor_repetitions,
+            report.deadline_expired, uint64_t{report.answers.size()});
   for (const std::vector<int>& per_question : report.answers) {
     e.PutI32Vector(per_question);
   }
@@ -80,12 +75,8 @@ std::string EncodeFaultTolerantReport(const FaultTolerantReport& report) {
 
 std::string EncodeRetunerReport(const RetunerReport& report) {
   Encoder e;
-  e.PutDouble(report.latency);
-  e.PutI64(report.spent);
-  e.PutI32(report.retunes);
-  e.PutI32(report.reviews);
-  e.PutDoubleVector(report.final_scale);
-  e.PutI32Vector(report.final_prices);
+  PutFields(e, report.latency, int64_t{report.spent}, report.retunes,
+            report.reviews, report.final_scale, report.final_prices);
   return e.Release();
 }
 
@@ -836,17 +827,8 @@ FleetSupervisor::Outcome FleetSupervisor::RunJobOnce(
     out.journal_bytes = run.start_valid_bytes;
     return out;
   }
-  const uint64_t seed = spec.seed_override >= 0
-                            ? static_cast<uint64_t>(spec.seed_override)
-                            : parsed->seed;
-
-  MarketConfig market;
-  market.worker_arrival_rate = parsed->arrival_rate;
-  market.worker_error_prob = parsed->worker_error_prob;
-  market.abandon_prob = parsed->abandon_prob;
-  market.abandon_hold_rate = parsed->abandon_hold_rate;
-  market.seed = seed;
-  market.record_trace = true;
+  const uint64_t seed = JobSeed(spec, *parsed);
+  const MarketConfig market = MarketConfigFor(*parsed, seed);
 
   DurabilityConfig durability;
   durability.storage = run.storage;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "durability/serialize.h"
+#include "spec/fleet_spec.h"
 #include "tuning/repetition_allocator.h"
 
 namespace htune {
@@ -74,11 +75,8 @@ StatusOr<JobSession> JobSession::Create(const FleetJobSpec& spec,
   const long budget =
       spec.ceiling >= 0 ? static_cast<long>(spec.ceiling)
                         : parsed.problem.budget;
-  // The fleet seed-override rule, applied here so every caller agrees.
   JobSessionConfig resolved = config;
-  resolved.seed = spec.seed_override >= 0
-                      ? static_cast<uint64_t>(spec.seed_override)
-                      : parsed.seed;
+  resolved.seed = JobSeed(spec, parsed);
   return JobSession(resolved, std::move(parsed), std::move(prices), budget);
 }
 

@@ -7,6 +7,7 @@
 
 #include "common/statusor.h"
 #include "durability/manifest.h"
+#include "spec/job_spec.h"
 
 namespace htune {
 
@@ -84,6 +85,13 @@ StatusOr<FleetSpec> ParseFleetSpec(std::string_view text,
 /// Reads `path` and parses it with base_dir = dirname(path). NotFound when
 /// the file cannot be read.
 StatusOr<FleetSpec> LoadFleetSpec(const std::string& path);
+
+/// The seed fleet job `job` runs with: its seed_override when set (>= 0),
+/// else its job spec's own.
+inline uint64_t JobSeed(const FleetJobSpec& job, const JobSpec& spec) {
+  return job.seed_override >= 0 ? static_cast<uint64_t>(job.seed_override)
+                                : spec.seed;
+}
 
 }  // namespace htune
 

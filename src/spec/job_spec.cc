@@ -250,6 +250,16 @@ StatusOr<JobSpec> ParseJobSpec(std::string_view text) {
   return spec;
 }
 
+MarketConfig MarketConfigFor(const JobSpec& spec, uint64_t seed) {
+  MarketConfig market;
+  market.worker_arrival_rate = spec.arrival_rate;
+  market.worker_error_prob = spec.worker_error_prob;
+  market.abandon_prob = spec.abandon_prob;
+  market.abandon_hold_rate = spec.abandon_hold_rate;
+  market.seed = seed;
+  return market;
+}
+
 StatusOr<JobSpec> LoadJobSpec(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {

@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "common/statusor.h"
+#include "market/simulator.h"
 #include "tuning/problem.h"
 
 namespace htune {
@@ -47,6 +48,9 @@ struct JobSpec {
 /// Returns InvalidArgument with a line-numbered message on any malformed
 /// input, and runs ValidateProblem on the result.
 StatusOr<JobSpec> ParseJobSpec(std::string_view text);
+
+/// The simulated market `spec` describes, seeded with `seed`.
+MarketConfig MarketConfigFor(const JobSpec& spec, uint64_t seed);
 
 /// Reads `path` and parses it. NotFound when the file cannot be read.
 StatusOr<JobSpec> LoadJobSpec(const std::string& path);

@@ -25,6 +25,7 @@
 #include "market/simulator.h"
 #include "market_state_v1.h"
 #include "model/price_rate_curve.h"
+#include "resilience/fault_injector.h"
 #include "tuning/repetition_allocator.h"
 
 namespace htune {
@@ -496,6 +497,45 @@ TEST(RetunerCrashMatrixTest, MidRecordTornWritesRecover) {
     ExpectTracesIdentical(trace, baseline_trace);
     EXPECT_EQ(storage.bytes(), journal);
   }
+}
+
+// Checkpoint-and-park for the retuner: journal storage that stays down past
+// the retry budget parks the run instead of failing it, and a rerun on the
+// same storage once the fault clears converges to the uninterrupted run.
+TEST(RetunerCrashMatrixTest, ExhaustedJournalRetriesParkAndResume) {
+  const RetunerScenario scenario = MakeRetunerScenario();
+  InMemoryJournalStorage baseline_storage;
+  std::vector<TraceEvent> baseline_trace;
+  const auto baseline =
+      RunRetuner(scenario, baseline_storage, &baseline_trace);
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+
+  FaultInjectorConfig outage;
+  outage.seed = 31;
+  outage.append_fault_prob = 0.55;
+  outage.max_consecutive_faults = 1000;
+  FaultInjector injector(outage);
+  InMemoryJournalStorage inner;
+  auto storage = injector.WrapStorage(&inner);
+  const auto parked = RunRetuner(scenario, *storage, nullptr);
+  ASSERT_FALSE(parked.ok());
+  EXPECT_EQ(parked.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(parked.status().message().find("parked:"), 0u)
+      << parked.status();
+  ASSERT_LT(inner.bytes().size(), baseline_storage.bytes().size());
+
+  std::vector<TraceEvent> trace;
+  const auto resumed = RunRetuner(scenario, inner, &trace);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->latency, baseline->latency);
+  EXPECT_EQ(resumed->spent, baseline->spent);
+  EXPECT_EQ(resumed->reviews, baseline->reviews);
+  EXPECT_EQ(resumed->retunes, baseline->retunes);
+  EXPECT_EQ(resumed->final_scale, baseline->final_scale);
+  EXPECT_EQ(resumed->final_prices, baseline->final_prices);
+  ExpectTracesIdentical(trace, baseline_trace);
+  EXPECT_EQ(inner.bytes(), baseline_storage.bytes());
+  ExpectPaymentsExactlyOnce(inner.bytes(), resumed->spent);
 }
 
 // FaultTolerantConfig validation (the Run-side guard for durable and plain

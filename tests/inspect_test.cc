@@ -38,11 +38,18 @@ struct Inspection {
 };
 
 /// Writes `bytes` to a scratch file with the file name of `name` and
-/// inspects it: the service journal is recognized by its file name.
+/// inspects it: the service journal is recognized by its file name. Each
+/// test writes into its own directory, since ctest runs tests in parallel.
 Inspection Inspect(std::string_view verb, const std::string& bytes,
                    const std::string& name = "job.journal") {
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) /
+      ("inspect_test." +
+       std::string(
+           testing::UnitTest::GetInstance()->current_test_info()->name()));
+  std::filesystem::create_directories(dir);
   const std::string path =
-      testing::TempDir() + std::filesystem::path(name).filename().string();
+      (dir / std::filesystem::path(name).filename()).string();
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
   Inspection result;
   result.exit_code = InspectFile(verb, path, &result.out);

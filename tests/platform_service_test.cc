@@ -14,7 +14,7 @@
 
 #include "durability/journal.h"
 #include "durability/manifest.h"
-#include "durability/serialize.h"
+#include "durability/records.h"
 #include "fleet/supervisor.h"
 #include "platform/service.h"
 #include "platform/session.h"
@@ -61,19 +61,6 @@ StatusOr<JournalContents> JobJournal(InMemoryFleetStorage& provider,
   return ScanJournal(storage->bytes());
 }
 
-Status DecodeRunEnd(std::string_view payload, std::string* report_bytes,
-                    std::string* trace_bytes) {
-  Decoder d(payload);
-  uint32_t version = 0;
-  HTUNE_RETURN_IF_ERROR(d.GetU32(&version));
-  if (version != 1) {
-    return InvalidArgumentError("unexpected kRunEnd version");
-  }
-  HTUNE_RETURN_IF_ERROR(d.GetString(report_bytes));
-  HTUNE_RETURN_IF_ERROR(d.GetString(trace_bytes));
-  return d.ExpectDone();
-}
-
 TEST(SharedServiceTest, GangCompletesWithExactlyOnceRunEnds) {
   InMemoryFleetStorage provider;
   FleetSupervisor fleet(&provider, FleetConfig{});
@@ -112,17 +99,14 @@ TEST(SharedServiceTest, GangCompletesWithExactlyOnceRunEnds) {
     EXPECT_EQ(journal->records.back().type, JournalRecordType::kRunEnd);
 
     // The journaled artifacts are the in-memory results, bitwise.
-    std::string report_bytes;
-    std::string trace_bytes;
-    ASSERT_TRUE(DecodeRunEnd(journal->records.back().payload, &report_bytes,
-                             &trace_bytes)
-                    .ok());
+    JobRunEndRecord run_end;
+    ASSERT_TRUE(DecodeRecord(journal->records.back().payload, &run_end).ok());
     ASSERT_TRUE(fleet.results().count(id));
-    EXPECT_EQ(report_bytes, fleet.results().at(id).report_bytes);
-    EXPECT_EQ(trace_bytes, fleet.results().at(id).trace_bytes);
+    EXPECT_EQ(run_end.report, fleet.results().at(id).report_bytes);
+    EXPECT_EQ(run_end.trace, fleet.results().at(id).trace_bytes);
 
     SessionReport report;
-    ASSERT_TRUE(DecodeSessionReport(report_bytes, &report).ok());
+    ASSERT_TRUE(DecodeSessionReport(run_end.report, &report).ok());
     EXPECT_EQ(report.job_id, id);
     EXPECT_EQ(report.tasks, 10u);
     EXPECT_EQ(report.repetitions, 20u);

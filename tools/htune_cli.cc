@@ -210,12 +210,8 @@ int Simulate(const htune::JobSpec& spec, const std::string& allocator_name,
   }
   htune::RunningStats latency;
   for (int r = 0; r < runs; ++r) {
-    htune::MarketConfig config;
-    config.worker_arrival_rate = spec.arrival_rate;
-    config.worker_error_prob = spec.worker_error_prob;
-    config.abandon_prob = spec.abandon_prob;
-    config.abandon_hold_rate = spec.abandon_hold_rate;
-    config.seed = spec.seed + static_cast<uint64_t>(r);
+    htune::MarketConfig config =
+        htune::MarketConfigFor(spec, spec.seed + static_cast<uint64_t>(r));
     config.record_trace = false;
     htune::MarketSimulator market(config);
     const std::vector<htune::QuestionSpec> questions(
@@ -269,13 +265,7 @@ int RunDurable(const htune::JobSpec& spec, const std::string& journal_path,
   config.abandonment = {spec.abandon_prob, spec.abandon_hold_rate};
   const htune::FaultTolerantExecutor executor(&allocator, config);
 
-  htune::MarketConfig market;
-  market.worker_arrival_rate = spec.arrival_rate;
-  market.worker_error_prob = spec.worker_error_prob;
-  market.abandon_prob = spec.abandon_prob;
-  market.abandon_hold_rate = spec.abandon_hold_rate;
-  market.seed = spec.seed;
-  market.record_trace = true;
+  const htune::MarketConfig market = htune::MarketConfigFor(spec, spec.seed);
 
   htune::DurabilityConfig durability;
   durability.storage = &storage;
