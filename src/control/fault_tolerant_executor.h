@@ -113,7 +113,8 @@ struct FaultTolerantReport {
   bool degraded = false;
   /// Repetitions that rode out budget exhaustion at floor terms: stragglers
   /// no raise was affordable for, plus any plans demoted to floor price
-  /// because the ceiling was below the initial allocation's assumption.
+  /// because spend the plan did not foresee landed on the market (another
+  /// requester's tasks on a `Run` market) and pushed it past the ceiling.
   int floor_repetitions = 0;
   /// True when the configured time_deadline passed before the review loop
   /// finished: escalation stopped early and the job rode to completion at
@@ -139,9 +140,13 @@ struct FaultTolerantReport {
 ///     retries per slot, spending only headroom the budget still has;
 ///  3. degrades gracefully: when no raise is affordable, the straggler
 ///     rides out the job at the prices the budget already covers, and when
-///     the ceiling sits below what the plan assumed, the costliest plans
-///     are demoted to floor price until the job fits — either way the
-///     report is flagged `degraded` instead of the job failing.
+///     spend the plan did not foresee lands on the market (another
+///     requester's tasks on a `Run` market) and pushes the plan past the
+///     ceiling, the costliest plans are demoted to floor price until the
+///     job fits — either way the report is flagged `degraded` instead of
+///     the job failing. A fresh run refuses an initial allocation above
+///     the ceiling, and a resumed run restores its ceiling, so nothing
+///     else demotes.
 class FaultTolerantExecutor {
  public:
   /// `allocator` is borrowed and must outlive the executor.

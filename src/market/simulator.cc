@@ -199,20 +199,6 @@ void MarketSimulator::ExposeCurrentRepetition(TaskId id, OpenTask& task,
   }
 }
 
-void MarketSimulator::FillAnswer(const OpenTask& task, double worker_error,
-                                 RepetitionOutcome& rep) {
-  if (rng_.Bernoulli(worker_error)) {
-    // Uniformly random wrong option.
-    const int wrong = static_cast<int>(
-        rng_.UniformInt(static_cast<uint64_t>(task.spec.num_options - 1)));
-    rep.answer = wrong >= task.spec.true_answer ? wrong + 1 : wrong;
-    rep.correct = false;
-  } else {
-    rep.answer = task.spec.true_answer;
-    rep.correct = true;
-  }
-}
-
 void MarketSimulator::StepWorkerArrival() {
   now_ = next_arrival_time_;
   ++event_counts_.worker_arrivals;
@@ -269,7 +255,7 @@ void MarketSimulator::StepWorkerArrival() {
     rep.price = task.rep_prices[rep_slot];
     // The answer is decided by the accepting worker; it is revealed (and
     // recorded) when processing finishes.
-    FillAnswer(task, worker_error, rep);
+    DrawAnswer(rng_, worker_error, task, rep);
     task.outcome.repetitions.push_back(rep);
     const int rep_index = static_cast<int>(task.outcome.repetitions.size());
     Record({now_, TraceEventKind::kTaskAccepted, worker, id, rep_index});

@@ -310,9 +310,6 @@ class MarketSimulator {
   /// repetition awaiting acceptance (via the on-hold index, in TaskId
   /// order — the same draw order as the historical full-map scan).
   void StepWorkerArrival();
-  /// Decides an arriving worker's answer for `task` (error model applied).
-  void FillAnswer(const OpenTask& task, double worker_error,
-                  RepetitionOutcome& rep);
   /// Applies the event at the head of the event queue.
   void ApplyEvent(const MarketEvent& event);
   /// Exposes the next repetition of `task` (or finalizes it) at time `t`.

@@ -1,11 +1,13 @@
 #ifndef HTUNE_MARKET_TASK_H_
 #define HTUNE_MARKET_TASK_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "market/events.h"
 #include "model/price_rate_curve.h"
+#include "rng/random.h"
 
 namespace htune {
 
@@ -104,6 +106,23 @@ struct OpenTask {
     reprice_rate = 0.0;
   }
 };
+
+/// Decides a worker's answer to `task`: wrong with probability
+/// `error_prob`, then a uniformly random wrong option. Both engines draw
+/// from their own stream in this order (Bernoulli, then UniformInt on a
+/// miss), and their pinned transcripts depend on it.
+inline void DrawAnswer(Random& rng, double error_prob, const OpenTask& task,
+                       RepetitionOutcome& rep) {
+  if (rng.Bernoulli(error_prob)) {
+    const int wrong = static_cast<int>(
+        rng.UniformInt(static_cast<uint64_t>(task.spec.num_options - 1)));
+    rep.answer = wrong >= task.spec.true_answer ? wrong + 1 : wrong;
+    rep.correct = false;
+  } else {
+    rep.answer = task.spec.true_answer;
+    rep.correct = true;
+  }
+}
 
 }  // namespace htune
 

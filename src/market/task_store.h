@@ -23,7 +23,9 @@ namespace htune {
 /// sequence stops allocating once the fleet size plateaus (the "arena"
 /// behaviour of the perf rewrite). Completed outcomes are stored in
 /// completion order, which makes CompletedOutcomes() a free const
-/// reference instead of a map walk that deep-copied every outcome.
+/// reference instead of a map walk that deep-copied every outcome. Both
+/// market engines keep their tasks here; SharedMarket selects through its
+/// own Fenwick tree and leaves the on-hold index below empty.
 ///
 /// The store also maintains the on-hold index: the tasks whose exposed
 /// repetition is awaiting a worker, as parallel arrays sorted by TaskId

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "durability/records.h"
 #include "durability/serialize.h"
 #include "spec/fleet_spec.h"
 #include "tuning/repetition_allocator.h"
@@ -16,16 +17,10 @@ constexpr uint32_t kSessionCountersVersion = 1;
 std::string EncodeSessionReport(const SessionReport& report) {
   Encoder e;
   e.PutU32(kSessionReportVersion);
-  e.PutU64(report.job_id);
-  e.PutU64(report.tasks);
-  e.PutU64(report.repetitions);
-  e.PutI64(report.spent);
-  e.PutU64(report.reviews);
-  e.PutU64(report.stragglers);
-  e.PutU64(report.escalations);
-  e.PutU64(report.correct_answers);
-  e.PutDouble(report.mean_on_hold_latency);
-  e.PutDouble(report.mean_processing_latency);
+  PutFields(e, report.job_id, report.tasks, report.repetitions, report.spent,
+            report.reviews, report.stragglers, report.escalations,
+            report.correct_answers, report.mean_on_hold_latency,
+            report.mean_processing_latency);
   return e.Release();
 }
 
@@ -37,16 +32,11 @@ Status DecodeSessionReport(std::string_view bytes, SessionReport* report) {
     return InvalidArgumentError("session report: unsupported version " +
                                 std::to_string(version));
   }
-  HTUNE_RETURN_IF_ERROR(d.GetU64(&report->job_id));
-  HTUNE_RETURN_IF_ERROR(d.GetU64(&report->tasks));
-  HTUNE_RETURN_IF_ERROR(d.GetU64(&report->repetitions));
-  HTUNE_RETURN_IF_ERROR(d.GetI64(&report->spent));
-  HTUNE_RETURN_IF_ERROR(d.GetU64(&report->reviews));
-  HTUNE_RETURN_IF_ERROR(d.GetU64(&report->stragglers));
-  HTUNE_RETURN_IF_ERROR(d.GetU64(&report->escalations));
-  HTUNE_RETURN_IF_ERROR(d.GetU64(&report->correct_answers));
-  HTUNE_RETURN_IF_ERROR(d.GetDouble(&report->mean_on_hold_latency));
-  HTUNE_RETURN_IF_ERROR(d.GetDouble(&report->mean_processing_latency));
+  HTUNE_RETURN_IF_ERROR(GetFields(
+      d, report->job_id, report->tasks, report->repetitions, report->spent,
+      report->reviews, report->stragglers, report->escalations,
+      report->correct_answers, report->mean_on_hold_latency,
+      report->mean_processing_latency));
   return d.ExpectDone();
 }
 
@@ -165,9 +155,7 @@ SessionReport JobSession::Report(const SharedMarket& market) const {
 std::string JobSession::CaptureCounters() const {
   Encoder e;
   e.PutU32(kSessionCountersVersion);
-  e.PutU64(reviews_);
-  e.PutU64(stragglers_);
-  e.PutU64(escalations_);
+  PutFields(e, reviews_, stragglers_, escalations_);
   return e.Release();
 }
 
@@ -179,9 +167,7 @@ Status JobSession::RestoreCounters(std::string_view bytes) {
     return InvalidArgumentError("session counters: unsupported version " +
                                 std::to_string(version));
   }
-  HTUNE_RETURN_IF_ERROR(d.GetU64(&reviews_));
-  HTUNE_RETURN_IF_ERROR(d.GetU64(&stragglers_));
-  HTUNE_RETURN_IF_ERROR(d.GetU64(&escalations_));
+  HTUNE_RETURN_IF_ERROR(GetFields(d, reviews_, stragglers_, escalations_));
   return d.ExpectDone();
 }
 

@@ -5,8 +5,10 @@
 #include <utility>
 
 #include "common/check.h"
+#include "durability/records.h"
 #include "durability/serialize.h"
 #include "durability/snapshot.h"
+#include "market/task_store.h"
 
 namespace htune {
 
@@ -50,70 +52,48 @@ Status CheckRepPrice(const PriceRateCurve& curve, int price) {
 
 constexpr size_t LowBit(size_t i) { return i & (~i + 1); }
 
+/// Completed repetitions of an open task (the current one is exposed or
+/// processing).
+size_t RepsDone(const OpenTask& task) {
+  const size_t accepted = task.outcome.repetitions.size();
+  return task.awaiting_acceptance || accepted == 0 ||
+                 task.outcome.repetitions.back().completed_time > 0.0 ||
+                 task.outcome.completed_time > 0.0
+             ? accepted
+             : accepted - 1;
+}
+
 }  // namespace
-
-/// One open task: sequential repetitions at rep_prices, answers decided at
-/// acceptance and revealed at completion (mirroring MarketSimulator's
-/// bookkeeping so outcome shapes are interchangeable).
-struct SharedMarket::SharedTask {
-  TaskId id = 0;
-  std::vector<int> rep_prices;
-  double processing_rate = 1.0;
-  int true_answer = 0;
-  int num_options = 2;
-  TaskOutcome outcome;
-  /// True while the current repetition awaits a worker.
-  bool on_hold = true;
-  double current_posted_time = 0.0;
-  /// Tombstone: the task completed and its outcome moved to
-  /// SharedJob::completed; the slot stays until the next compaction.
-  bool completed = false;  // HTUNE_TRANSIENT: tombstones are never captured
-
-  /// Completed repetitions (the current one is exposed or processing).
-  size_t RepsDone() const {
-    const size_t accepted = outcome.repetitions.size();
-    return on_hold || accepted == 0 ||
-                   outcome.repetitions.back().completed_time > 0.0 ||
-                   outcome.completed_time > 0.0
-               ? accepted
-               : accepted - 1;
-  }
-};
 
 struct SharedMarket::SharedJob {
   uint64_t id = 0;
   Random rng;
-  /// Open tasks in ascending id, which is posting order and the candidate
-  /// walk, with tombstones of completed tasks left in place until the
-  /// next compaction.
-  std::vector<SharedTask> open;
-  std::vector<TaskOutcome> completed;
+  /// Every task the job posted: open ones by id, completed outcomes in
+  /// completion order.
+  TaskStore tasks;
   long spent = 0;
-  TaskId next_task = 1;
-  /// Per slot of `open`: the task id, ascending; a dense copy so lookups
-  /// search 8-byte keys instead of whole tasks.
-  std::vector<TaskId> ids;  // HTUNE_TRANSIENT: rebuilt from tasks on restore
-  /// Per slot of `open`: the weight units of the current price while the
-  /// task is on hold, 0 while it is processed or a tombstone.
+  /// Per posted task, at index id - 1: the weight units of the current
+  /// price while the task is on hold, 0 while it is processed or once it
+  /// completed. Its size is the number of ids handed out.
   std::vector<int64_t> hold;  // HTUNE_TRANSIENT: rebuilt from tasks on restore
-  /// Fenwick tree over `hold`, 1-based: tree[i] sums the slots
+  /// Fenwick tree over `hold`, 1-based: tree[i] sums the entries
   /// [i - LowBit(i), i). tree[0] is unused.
   std::vector<int64_t> tree;  // HTUNE_TRANSIENT: BuildTree on restore
   /// Sum of `hold`.
   int64_t total = 0;  // HTUNE_TRANSIENT: BuildTree on restore
-  size_t tombstones = 0;  // HTUNE_TRANSIENT: restore leaves no tombstones
   std::vector<TraceEvent> trace;
 
   explicit SharedJob(uint64_t job_id, uint64_t seed)
       : id(job_id), rng(seed), tree(1, 0) {}
 
-  size_t OpenCount() const { return open.size() - tombstones; }
+  /// The id the next posted task gets.
+  TaskId NextTask() const { return hold.size() + 1; }
 
   /// The job's total weight; exact while the total is below 2^53 units.
   double Weight() const { return static_cast<double>(total) * kUnitWeight; }
 
-  /// Adds a slot holding `units` behind the last one, in O(log n): the new
-  /// node sums its own slot and the nodes it covers.
+  /// Adds an entry holding `units` behind the last one, in O(log n): the
+  /// new node sums its own entry and the nodes it covers.
   void Append(int64_t units) {
     hold.push_back(units);
     const size_t node = hold.size();
@@ -126,11 +106,11 @@ struct SharedMarket::SharedJob {
     total += units;
   }
 
-  void SetHold(size_t slot, int64_t units) {
-    const int64_t delta = units - hold[slot];
-    hold[slot] = units;
+  void SetHold(TaskId task, int64_t units) {
+    const int64_t delta = units - hold[task - 1];
+    hold[task - 1] = units;
     total += delta;
-    for (size_t node = slot + 1; node < tree.size(); node += LowBit(node)) {
+    for (size_t node = task; node < tree.size(); node += LowBit(node)) {
       tree[node] += delta;
     }
   }
@@ -149,10 +129,10 @@ struct SharedMarket::SharedJob {
     }
   }
 
-  /// The first slot whose prefix sum of `hold` exceeds `target` (>= 0),
-  /// or hold.size() if none does, by Fenwick descent. Weights are
-  /// non-negative, so prefixes ascend and a 0 slot is never first.
-  size_t FirstAbove(int64_t target) const {
+  /// The first task id whose prefix sum of `hold` exceeds `target` (>= 0),
+  /// or NextTask() if none does, by Fenwick descent. Weights are
+  /// non-negative, so prefixes ascend and a 0 entry is never first.
+  TaskId FirstAbove(int64_t target) const {
     size_t node = 0;
     for (size_t step = std::bit_floor(hold.size()); step > 0; step >>= 1) {
       if (node + step < tree.size() && tree[node + step] <= target) {
@@ -160,31 +140,7 @@ struct SharedMarket::SharedJob {
         target -= tree[node];
       }
     }
-    return node;
-  }
-
-  /// Drops the tombstones. Their units are 0 and integer sums do not
-  /// depend on order, so every remaining prefix and the total keep their
-  /// values, and the selection a compacted job makes is the one it made
-  /// before.
-  void Compact() {
-    size_t live = 0;
-    for (size_t slot = 0; slot < open.size(); ++slot) {
-      if (open[slot].completed) {
-        continue;
-      }
-      if (live != slot) {
-        open[live] = std::move(open[slot]);
-        ids[live] = ids[slot];
-        hold[live] = hold[slot];
-      }
-      ++live;
-    }
-    open.erase(open.begin() + static_cast<std::ptrdiff_t>(live), open.end());
-    ids.resize(live);
-    hold.resize(live);
-    tombstones = 0;
-    BuildTree();
+    return node + 1;
   }
 };
 
@@ -231,36 +187,6 @@ const SharedMarket::SharedJob* SharedMarket::FindJob(uint64_t job_id) const {
     }
   }
   return nullptr;
-}
-
-const SharedMarket::SharedTask* SharedMarket::FindOpenTask(
-    const SharedJob& job, TaskId task) const {
-  // Binary search for the last id <= task, written so the compiler emits
-  // a conditional move: a review looks up every open task, and on jobs of
-  // a few dozen tasks std::lower_bound's mispredicted branches cost more
-  // than a linear walk.
-  size_t len = job.ids.size();
-  if (len == 0) {
-    return nullptr;
-  }
-  const TaskId* base = job.ids.data();
-  while (len > 1) {
-    const size_t half = len / 2;
-    base = base[half] <= task ? base + half : base;
-    len -= half;
-  }
-  if (*base != task) {
-    return nullptr;
-  }
-  const SharedTask& found =
-      job.open[static_cast<size_t>(base - job.ids.data())];
-  return found.completed ? nullptr : &found;
-}
-
-SharedMarket::SharedTask* SharedMarket::FindOpenTask(SharedJob& job,
-                                                     TaskId task) {
-  return const_cast<SharedTask*>(
-      FindOpenTask(std::as_const(job), task));
 }
 
 Status SharedMarket::AddJob(uint64_t job_id, uint64_t seed) {
@@ -313,22 +239,20 @@ StatusOr<TaskId> SharedMarket::PostTask(uint64_t job_id,
         "SharedMarket: a market holds fewer than " +
         std::to_string(kMaxOpenSharedTasks) + " open tasks");
   }
-  SharedTask task;
-  task.id = job->next_task++;
+  const TaskId id = job->NextTask();
+  OpenTask& task = job->tasks.Insert(id);
+  task.spec.repetitions = static_cast<int>(rep_prices.size());
+  task.spec.processing_rate = processing_rate;
+  task.spec.true_answer = true_answer;
+  task.spec.num_options = num_options;
   task.rep_prices = rep_prices;
-  task.processing_rate = processing_rate;
-  task.true_answer = true_answer;
-  task.num_options = num_options;
-  task.outcome.id = task.id;
+  task.outcome.id = id;
   task.outcome.posted_time = now_;
-  task.on_hold = true;
   task.current_posted_time = now_;
-  job->open.push_back(std::move(task));
-  job->ids.push_back(job->open.back().id);
   job->Append(WeightUnits(rep_prices.front()));
   ++open_tasks_;
   ++counts_.tasks_posted;
-  return job->open.back().id;
+  return id;
 }
 
 Status SharedMarket::Reprice(uint64_t job_id, TaskId task_id, int new_price) {
@@ -341,26 +265,23 @@ Status SharedMarket::Reprice(uint64_t job_id, TaskId task_id, int new_price) {
     return InvalidArgumentError("SharedMarket: reprice below 1 unit");
   }
   HTUNE_RETURN_IF_ERROR(CheckRepPrice(*config_.curve, new_price));
-  SharedTask* task = FindOpenTask(*job, task_id);
+  OpenTask* task = job->tasks.FindOpen(task_id);
   if (task == nullptr) {
-    for (const TaskOutcome& done : job->completed) {
-      if (done.id == task_id) {
-        return FailedPreconditionError("SharedMarket: task " +
-                                       std::to_string(task_id) +
-                                       " already completed");
-      }
+    if (job->tasks.FindCompleted(task_id) != nullptr) {
+      return FailedPreconditionError("SharedMarket: task " +
+                                     std::to_string(task_id) +
+                                     " already completed");
     }
     return NotFoundError("SharedMarket: unknown task " +
                          std::to_string(task_id));
   }
   // The accepted (in-flight) repetition keeps its original terms; the
   // current exposure and everything after it re-post at the new price.
-  for (size_t i = task->RepsDone(); i < task->rep_prices.size(); ++i) {
+  for (size_t i = RepsDone(*task); i < task->rep_prices.size(); ++i) {
     task->rep_prices[i] = new_price;
   }
-  if (task->on_hold) {
-    job->SetHold(static_cast<size_t>(task - job->open.data()),
-                 WeightUnits(new_price));
+  if (task->awaiting_acceptance) {
+    job->SetHold(task_id, WeightUnits(new_price));
   }
   ++counts_.reprices;
   return OkStatus();
@@ -416,47 +337,39 @@ void SharedMarket::StepArrival() {
     local = selected_job->Weight();
   }
 
-  // The selected slot is the first whose prefix, read as a weight,
+  // The selected task is the first whose prefix, read as a weight,
   // exceeds `local`. Prefixes are whole units, and scaling by 2^20 is
   // exact, so that is the first prefix above floor(local * 2^20); `local`
-  // is non-negative, so the cast floors. The fallback is the first slot
+  // is non-negative, so the cast floors. The fallback is the first task
   // reaching the job's total: the last on-hold task with a weight.
-  size_t selected =
-      selected_job->FirstAbove(static_cast<int64_t>(local * kUnitsPerWeight));
-  if (selected == selected_job->hold.size()) {
-    selected = selected_job->FirstAbove(selected_job->total - 1);
+  SharedJob& job = *selected_job;
+  TaskId selected =
+      job.FirstAbove(static_cast<int64_t>(local * kUnitsPerWeight));
+  if (selected == job.NextTask()) {
+    selected = job.FirstAbove(job.total - 1);
   }
-  HTUNE_CHECK(selected_job->hold[selected] > 0);
+  HTUNE_CHECK(job.hold[selected - 1] > 0);
 
   // Acceptance: the worker takes this repetition. Answer decided now from
-  // the job's private stream (error Bernoulli, then the wrong-option pick
-  // when it errs, then the processing Exponential — a fixed draw order).
-  SharedJob& job = *selected_job;
-  SharedTask& task = job.open[selected];
-  const size_t slot = task.RepsDone();
+  // the job's private stream (DrawAnswer's draws, then the processing
+  // Exponential — a fixed draw order).
+  OpenTask& task = *job.tasks.FindOpen(selected);
+  const size_t slot = RepsDone(task);
   RepetitionOutcome rep;
   rep.posted_time = task.current_posted_time;
   rep.accepted_time = now_;
   rep.worker = draw.worker;
   rep.price = task.rep_prices[slot];
-  if (job.rng.Bernoulli(config_.worker_error_prob)) {
-    const int wrong = static_cast<int>(
-        job.rng.UniformInt(static_cast<uint64_t>(task.num_options - 1)));
-    rep.answer = wrong >= task.true_answer ? wrong + 1 : wrong;
-    rep.correct = false;
-  } else {
-    rep.answer = task.true_answer;
-    rep.correct = true;
-  }
+  DrawAnswer(job.rng, config_.worker_error_prob, task, rep);
   task.outcome.repetitions.push_back(rep);
-  task.on_hold = false;
-  job.SetHold(selected, 0.0);
+  task.awaiting_acceptance = false;
+  job.SetHold(selected, 0);
   ++counts_.acceptances;
-  Record(job, {now_, TraceEventKind::kTaskAccepted, draw.worker, task.id,
+  Record(job, {now_, TraceEventKind::kTaskAccepted, draw.worker, selected,
                static_cast<int>(slot) + 1});
 
-  const double processing = job.rng.Exponential(task.processing_rate);
-  queue_.Push({now_ + processing, event_sequence_++, task.id,
+  const double processing = job.rng.Exponential(task.spec.processing_rate);
+  queue_.Push({now_ + processing, event_sequence_++, selected,
                 MarketEvent::Kind::kCompletion, job.id});
 }
 
@@ -465,7 +378,7 @@ void SharedMarket::ApplyCompletion(const MarketEvent& event) {
   ++counts_.completions;
   SharedJob* job = FindJob(event.generation);
   HTUNE_CHECK(job != nullptr);
-  SharedTask* task = FindOpenTask(*job, event.task);
+  OpenTask* task = job->tasks.FindOpen(event.task);
   HTUNE_CHECK(task != nullptr);
 
   RepetitionOutcome& rep = task->outcome.repetitions.back();
@@ -473,26 +386,19 @@ void SharedMarket::ApplyCompletion(const MarketEvent& event) {
   job->spent += rep.price;
   const int rep_index = static_cast<int>(task->outcome.repetitions.size());
   Record(*job, {now_, TraceEventKind::kRepetitionCompleted, rep.worker,
-                task->id, rep_index});
+                event.task, rep_index});
 
-  if (task->outcome.repetitions.size() == task->rep_prices.size()) {
+  if (rep_index == task->spec.repetitions) {
     task->outcome.completed_time = now_;
-    Record(*job, {now_, TraceEventKind::kTaskCompleted, 0, task->id,
+    Record(*job, {now_, TraceEventKind::kTaskCompleted, 0, event.task,
                   rep_index});
-    job->completed.push_back(std::move(task->outcome));
-    // The slot's hold is already 0 (processing); it becomes a tombstone
-    // and the job compacts once tombstones fill over half its slots.
-    task->completed = true;
-    ++job->tombstones;
+    // The task's hold is already 0 (processing) and stays 0.
+    job->tasks.Complete(event.task);
     --open_tasks_;
-    if (2 * job->tombstones > job->open.size()) {
-      job->Compact();
-    }
   } else {
-    task->on_hold = true;
+    task->awaiting_acceptance = true;
     task->current_posted_time = now_;
-    job->SetHold(static_cast<size_t>(task - job->open.data()),
-                 WeightUnits(task->rep_prices[task->RepsDone()]));
+    job->SetHold(event.task, WeightUnits(task->rep_prices[RepsDone(*task)]));
   }
 }
 
@@ -542,7 +448,7 @@ const std::vector<TaskOutcome>& SharedMarket::CompletedOutcomes(
     uint64_t job_id) const {
   const SharedJob* job = FindJob(job_id);
   HTUNE_CHECK(job != nullptr);
-  return job->completed;
+  return job->tasks.completed();
 }
 
 long SharedMarket::TotalSpent(uint64_t job_id) const {
@@ -560,19 +466,16 @@ const std::vector<TraceEvent>& SharedMarket::Trace(uint64_t job_id) const {
 size_t SharedMarket::OpenTaskCount(uint64_t job_id) const {
   const SharedJob* job = FindJob(job_id);
   HTUNE_CHECK(job != nullptr);
-  return job->OpenCount();
+  return job->tasks.open_count();
 }
 
 std::vector<TaskId> SharedMarket::OpenTaskIds(uint64_t job_id) const {
   const SharedJob* job = FindJob(job_id);
   HTUNE_CHECK(job != nullptr);
   std::vector<TaskId> ids;
-  ids.reserve(job->OpenCount());
-  for (const SharedTask& task : job->open) {
-    if (!task.completed) {
-      ids.push_back(task.id);
-    }
-  }
+  ids.reserve(job->tasks.open_count());
+  job->tasks.ForEachOpenInIdOrder(
+      [&ids](TaskId id, const OpenTask&) { ids.push_back(id); });
   return ids;
 }
 
@@ -583,12 +486,12 @@ StatusOr<double> SharedMarket::OnHoldSince(uint64_t job_id,
     return NotFoundError("SharedMarket: unknown job " +
                          std::to_string(job_id));
   }
-  const SharedTask* task = FindOpenTask(*job, task_id);
+  const OpenTask* task = job->tasks.FindOpen(task_id);
   if (task == nullptr) {
     return NotFoundError("SharedMarket: unknown or completed task " +
                          std::to_string(task_id));
   }
-  if (!task->on_hold) {
+  if (!task->awaiting_acceptance) {
     return FailedPreconditionError(
         "SharedMarket: task " + std::to_string(task_id) +
         " is being processed, not on hold");
@@ -603,13 +506,13 @@ StatusOr<int> SharedMarket::CurrentPrice(uint64_t job_id,
     return NotFoundError("SharedMarket: unknown job " +
                          std::to_string(job_id));
   }
-  const SharedTask* task = FindOpenTask(*job, task_id);
+  const OpenTask* task = job->tasks.FindOpen(task_id);
   if (task == nullptr) {
     return FailedPreconditionError("SharedMarket: task " +
                                    std::to_string(task_id) +
                                    " completed or unknown");
   }
-  return task->rep_prices[task->RepsDone()];
+  return task->rep_prices[RepsDone(*task)];
 }
 
 std::string SharedMarket::CaptureState() const {
@@ -637,24 +540,16 @@ std::string SharedMarket::CaptureState() const {
   for (const SharedJob& job : jobs_) {
     e.PutU64(job.id);
     EncodeRngState(job.rng.SaveState(), e);
-    e.PutU64(job.next_task);
-    e.PutI64(job.spent);
-    e.PutU64(job.OpenCount());
-    for (const SharedTask& task : job.open) {
-      if (task.completed) {
-        continue;
-      }
-      e.PutU64(task.id);
-      e.PutI32Vector(task.rep_prices);
-      e.PutDouble(task.processing_rate);
-      e.PutI32(task.true_answer);
-      e.PutI32(task.num_options);
-      e.PutBool(task.on_hold);
-      e.PutDouble(task.current_posted_time);
+    PutFields(e, job.NextTask(), int64_t{job.spent},
+              uint64_t{job.tasks.open_count()});
+    job.tasks.ForEachOpenInIdOrder([&e](TaskId id, const OpenTask& task) {
+      PutFields(e, id, task.rep_prices, task.spec.processing_rate,
+                task.spec.true_answer, task.spec.num_options,
+                task.awaiting_acceptance, task.current_posted_time);
       EncodeTaskOutcome(task.outcome, e);
-    }
-    e.PutU64(job.completed.size());
-    for (const TaskOutcome& outcome : job.completed) {
+    });
+    e.PutU64(job.tasks.completed().size());
+    for (const TaskOutcome& outcome : job.tasks.completed()) {
       EncodeTaskOutcome(outcome, e);
     }
     EncodeTraceEvents(job.trace, e);
@@ -719,13 +614,18 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
     Random::State rng;
     HTUNE_RETURN_IF_ERROR(DecodeRngState(d, rng));
     job.rng.RestoreState(rng);
-    HTUNE_RETURN_IF_ERROR(d.GetU64(&job.next_task));
+    uint64_t next_task = 0;
     int64_t spent = 0;
-    HTUNE_RETURN_IF_ERROR(d.GetI64(&spent));
-    job.spent = static_cast<long>(spent);
-
     uint64_t task_count = 0;
-    HTUNE_RETURN_IF_ERROR(d.GetU64(&task_count));
+    HTUNE_RETURN_IF_ERROR(GetFields(d, next_task, spent, task_count));
+    job.spent = static_cast<long>(spent);
+    // Every id below next_task was posted and is encoded below, open or
+    // completed, so a count past the remaining bytes is corrupt.
+    if (next_task == 0 || next_task - 1 > d.remaining()) {
+      return InvalidArgumentError("SharedMarket: corrupt next task id");
+    }
+    job.tasks.PrepareForRestore(next_task);
+    job.hold.assign(static_cast<size_t>(next_task - 1), 0);
     if (task_count >= kMaxOpenSharedTasks - open_tasks) {
       return InvalidArgumentError(
           "SharedMarket: a market holds fewer than " +
@@ -734,53 +634,56 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
     if (task_count > d.remaining()) {
       return InvalidArgumentError("SharedMarket: corrupt open-task count");
     }
-    job.open.reserve(static_cast<size_t>(task_count));
+    TaskId last_id = 0;
     for (uint64_t j = 0; j < task_count; ++j) {
-      SharedTask task;
-      HTUNE_RETURN_IF_ERROR(d.GetU64(&task.id));
-      HTUNE_RETURN_IF_ERROR(d.GetI32Vector(&task.rep_prices));
-      HTUNE_RETURN_IF_ERROR(d.GetDouble(&task.processing_rate));
-      HTUNE_RETURN_IF_ERROR(d.GetI32(&task.true_answer));
-      HTUNE_RETURN_IF_ERROR(d.GetI32(&task.num_options));
-      HTUNE_RETURN_IF_ERROR(d.GetBool(&task.on_hold));
-      HTUNE_RETURN_IF_ERROR(d.GetDouble(&task.current_posted_time));
-      HTUNE_RETURN_IF_ERROR(DecodeTaskOutcome(d, task.outcome));
-      if (task.rep_prices.empty() ||
-          task.outcome.repetitions.size() > task.rep_prices.size() ||
-          (task.on_hold && task.RepsDone() == task.rep_prices.size())) {
-        return InvalidArgumentError(
-            "SharedMarket: snapshot task shape invalid");
-      }
-      // Lookup binary-searches ids, so they must ascend, and every open
-      // id was handed out before next_task.
-      if ((!job.open.empty() && task.id <= job.open.back().id) ||
-          task.id >= job.next_task) {
+      TaskId id = 0;
+      HTUNE_RETURN_IF_ERROR(d.GetU64(&id));
+      // Capture writes open tasks in ascending id, and every id was handed
+      // out before next_task.
+      OpenTask* task = id > last_id ? job.tasks.InsertForRestore(id) : nullptr;
+      if (task == nullptr) {
         return InvalidArgumentError(
             "SharedMarket: snapshot open-task ids must ascend below "
             "next_task");
       }
-      for (const int price : task.rep_prices) {
+      last_id = id;
+      HTUNE_RETURN_IF_ERROR(GetFields(
+          d, task->rep_prices, task->spec.processing_rate,
+          task->spec.true_answer, task->spec.num_options,
+          task->awaiting_acceptance, task->current_posted_time));
+      HTUNE_RETURN_IF_ERROR(DecodeTaskOutcome(d, task->outcome));
+      task->spec.repetitions = static_cast<int>(task->rep_prices.size());
+      if (task->rep_prices.empty() ||
+          task->outcome.repetitions.size() > task->rep_prices.size() ||
+          (task->awaiting_acceptance &&
+           RepsDone(*task) == task->rep_prices.size())) {
+        return InvalidArgumentError(
+            "SharedMarket: snapshot task shape invalid");
+      }
+      for (const int price : task->rep_prices) {
         HTUNE_RETURN_IF_ERROR(CheckRepPrice(*config_.curve, price));
       }
       // The hold units are derived state: recompute from the curve, the
       // same call a continuously-running engine made at the last change.
-      job.hold.push_back(
-          task.on_hold ? WeightUnits(task.rep_prices[task.RepsDone()]) : 0);
-      job.ids.push_back(task.id);
-      job.open.push_back(std::move(task));
+      if (task->awaiting_acceptance) {
+        job.hold[id - 1] = WeightUnits(task->rep_prices[RepsDone(*task)]);
+      }
     }
-    open_tasks += job.open.size();
+    open_tasks += job.tasks.open_count();
 
     uint64_t completed_count = 0;
     HTUNE_RETURN_IF_ERROR(d.GetU64(&completed_count));
     if (completed_count > d.remaining()) {
       return InvalidArgumentError("SharedMarket: corrupt completed count");
     }
-    job.completed.reserve(static_cast<size_t>(completed_count));
     for (uint64_t j = 0; j < completed_count; ++j) {
       TaskOutcome outcome;
       HTUNE_RETURN_IF_ERROR(DecodeTaskOutcome(d, outcome));
-      job.completed.push_back(std::move(outcome));
+      if (!job.tasks.AddCompletedForRestore(std::move(outcome))) {
+        return InvalidArgumentError(
+            "SharedMarket: snapshot completed-task ids must be posted, "
+            "distinct and not open");
+      }
     }
     HTUNE_RETURN_IF_ERROR(DecodeTraceEvents(d, job.trace));
     job.BuildTree();

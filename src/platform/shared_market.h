@@ -65,7 +65,7 @@ inline constexpr size_t kMaxOpenSharedTasks = size_t{1} << 22;
 /// Determinism contract (the platform service's bitwise-resume guarantee
 /// is built on it):
 ///  - Candidate order is jobs in ascending id, then each job's open tasks
-///    in posting order (= ascending task id).
+///    in ascending task id (= posting order).
 ///  - Weights live on a grid of 2^-20: a repetition posted at `price`
 ///    weighs llround(curve->Rate(price) * 2^20) integer units. PostTask,
 ///    Reprice and RestoreState refuse a price whose rate is negative, not
@@ -73,17 +73,18 @@ inline constexpr size_t kMaxOpenSharedTasks = size_t{1} << 22;
 ///    (it would round to zero and never be accepted). With fewer than
 ///    kMaxOpenSharedTasks open tasks every unit sum stays below 2^62, so
 ///    int64 sums never overflow.
-///  - Each job keeps its per-slot units (0 while a task is processed or a
-///    tombstone) in a Fenwick tree and an exact int64 total. Integer sums
-///    do not depend on their order, so the tree, a compaction and a
-///    restored engine (which holds no tombstones) all give the same
-///    totals and prefixes; no sum order needs pinning.
+///  - Each job keeps its tasks in a TaskStore, and the units of every task
+///    id it has posted (0 while the task is processed and once it
+///    completed) in a Fenwick tree spanning those ids, with an exact int64
+///    total. A completed id adds 0 to every prefix, and integer sums do
+///    not depend on their order, so a running and a restored engine give
+///    the same totals and prefixes; no sum order needs pinning.
 ///  - Selection: W is the left-to-right double sum over jobs of their
 ///    totals, each read as units * 2^-20; the threshold and the walk over
 ///    jobs are double arithmetic on those totals. Inside the chosen job
-///    the task is the first slot whose unit prefix exceeds
+///    the task is the first id whose unit prefix exceeds
 ///    floor(local * 2^20), found by Fenwick descent; when rounding puts
-///    the local coordinate on the job's total, it is the first slot whose
+///    the local coordinate on the job's total, it is the first id whose
 ///    prefix reaches the total. While W stays below 2^33 every job total
 ///    and every partial sum of W is exact, so this is bit for bit the
 ///    selection a float left-to-right walk over the same grid weights
@@ -170,15 +171,10 @@ class SharedMarket {
   Status RestoreState(std::string_view bytes);
 
  private:
-  struct SharedTask;
   struct SharedJob;
 
-  /// FindOpenTask binary-searches the job's ascending task ids and returns
-  /// nullptr for completed tasks.
   SharedJob* FindJob(uint64_t job_id);
   const SharedJob* FindJob(uint64_t job_id) const;
-  SharedTask* FindOpenTask(SharedJob& job, TaskId task);
-  const SharedTask* FindOpenTask(const SharedJob& job, TaskId task) const;
 
   /// The integer weight units of a repetition posted at `price`.
   int64_t WeightUnits(int price) const;

@@ -762,5 +762,73 @@ TEST(SharedMarketTest, RestoreRejectsCorruptBytes) {
             StatusCode::kInvalidArgument);
 }
 
+// Every completed outcome names a task the job posted, at most once, and
+// not one that is still open; next_task counts posted tasks, each of which
+// the snapshot encodes. Patch the two completed outcomes' ids and the
+// job's next_task in an otherwise valid snapshot (tasks 1 and 2 completed,
+// task 3 open).
+TEST(SharedMarketTest, RestoreRejectsInvalidTaskIds) {
+  SharedMarket donor(BaseConfig());
+  ASSERT_TRUE(donor.AddJob(1, 85).ok());
+  ASSERT_TRUE(donor.PostTask(1, {2}, 1.0).ok());
+  ASSERT_TRUE(donor.PostTask(1, {2}, 1.0).ok());
+  ASSERT_TRUE(donor.RunToCompletion().ok());
+  ASSERT_TRUE(donor.PostTask(1, {2}, 1.0).ok());
+  const std::string valid = donor.CaptureState();
+  ASSERT_TRUE(SharedMarket(BaseConfig()).RestoreState(valid).ok());
+  const std::vector<TaskOutcome>& done = donor.CompletedOutcomes(1);
+  ASSERT_EQ(done.size(), 2u);
+  // Each outcome's bytes start with its u64 id.
+  std::vector<size_t> offsets;
+  for (const TaskOutcome& outcome : done) {
+    Encoder pattern;
+    EncodeTaskOutcome(outcome, pattern);
+    const size_t at = valid.find(pattern.Release());
+    ASSERT_NE(at, std::string::npos);
+    offsets.push_back(at);
+  }
+  auto with_completed_ids = [&](uint64_t first, uint64_t second) {
+    std::string bytes = valid;
+    for (const auto& [at, id] : {std::pair<size_t, uint64_t>{offsets[0], first},
+                                 {offsets[1], second}}) {
+      Encoder patch;
+      patch.PutU64(id);
+      bytes.replace(at, 8, patch.Release());
+    }
+    return SharedMarket(BaseConfig()).RestoreState(bytes).code();
+  };
+  EXPECT_EQ(with_completed_ids(done[0].id, done[1].id), StatusCode::kOk);
+  EXPECT_EQ(with_completed_ids(done[1].id, done[0].id), StatusCode::kOk);
+  EXPECT_EQ(with_completed_ids(0, done[1].id),  // never a task id
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(with_completed_ids(done[0].id, 4),  // == next_task
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(with_completed_ids(done[0].id, 9),  // > next_task
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(with_completed_ids(done[0].id, done[0].id),  // duplicated
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(with_completed_ids(3, done[1].id),  // still open
+            StatusCode::kInvalidArgument);
+
+  // The job's next_task (4), spent and open-task count (1).
+  Encoder header;
+  header.PutU64(4);
+  header.PutI64(donor.TotalSpent(1));
+  header.PutU64(1);
+  const size_t header_at = valid.find(header.Release());
+  ASSERT_NE(header_at, std::string::npos);
+  auto with_next_task = [&](uint64_t next_task) {
+    Encoder patch;
+    patch.PutU64(next_task);
+    std::string bytes = valid;
+    bytes.replace(header_at, 8, patch.Release());
+    return SharedMarket(BaseConfig()).RestoreState(bytes).code();
+  };
+  EXPECT_EQ(with_next_task(4), StatusCode::kOk);
+  EXPECT_EQ(with_next_task(0), StatusCode::kInvalidArgument);
+  EXPECT_EQ(with_next_task(uint64_t{1} << 62),  // more than the bytes hold
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace htune

@@ -13,7 +13,7 @@ parser) produce the same shapes, so every check is frontend-agnostic:
 
 Qualified names never include namespaces (the tree is one `htune`
 namespace; anonymous namespaces are transparent); class nesting is kept:
-`MarketState::Event`, `SharedMarket::SharedTask`.
+`MarketState::Event`, `SharedMarket::SharedJob`.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ test:
       Rule A or a binding covers.
 
   Bindings (config): structs encoded inline by some other class's codec
-      (TaskState inside EncodeExecutorState, SharedTask inside
-      SharedMarket::CaptureState) are bound explicitly in analyze.toml
+      (TaskState inside FaultTolerantPolicy::EncodeState, SharedJob
+      inside SharedMarket::CaptureState) are bound explicitly in analyze.toml
       [[snapshot.binding]] entries to their capture/restore functions.
 
 The member test: the member name must appear as a whole word in the
