@@ -30,16 +30,6 @@ Status DecodeRepetition(Decoder& decoder, RepetitionOutcome& rep) {
   return decoder.GetBool(&rep.correct);
 }
 
-void EncodeEvent(const MarketState::Event& event, Encoder& encoder) {
-  PutFields(encoder, event.time, event.sequence, event.task, event.kind,
-            event.generation);
-}
-
-Status DecodeEvent(Decoder& decoder, MarketState::Event& event) {
-  return GetFields(decoder, event.time, event.sequence, event.task,
-                   event.kind, event.generation);
-}
-
 void EncodeTask(const MarketState::Task& task, Encoder& encoder) {
   PutFields(encoder, task.id, task.price_per_repetition, task.repetitions,
             task.on_hold_rate, task.spec_prices, task.spec_rates,
@@ -88,6 +78,16 @@ Status DecodeVector(Decoder& decoder, size_t min_element_bytes, Fn element,
 }
 
 }  // namespace
+
+void EncodeEvent(const MarketState::Event& event, Encoder& encoder) {
+  PutFields(encoder, event.time, event.sequence, event.task, event.kind,
+            event.generation);
+}
+
+Status DecodeEvent(Decoder& decoder, MarketState::Event& event) {
+  return GetFields(decoder, event.time, event.sequence, event.task,
+                   event.kind, event.generation);
+}
 
 void EncodeRngState(const Random::State& rng, Encoder& encoder) {
   for (uint64_t word : rng.engine) encoder.PutU64(word);

@@ -30,6 +30,10 @@ std::string EncodeMarketState(const MarketState& state);
 StatusOr<MarketState> DecodeMarketState(std::string_view bytes);
 
 /// Sub-codecs shared with executor-state and shared-market serialization.
+/// A pending event is its five fields in MarketState::Event order; both
+/// market engines write their event queues with this pair.
+void EncodeEvent(const MarketState::Event& event, Encoder& encoder);
+Status DecodeEvent(Decoder& decoder, MarketState::Event& event);
 void EncodeRngState(const Random::State& rng, Encoder& encoder);
 Status DecodeRngState(Decoder& decoder, Random::State& rng);
 void EncodeTraceEvents(const std::vector<TraceEvent>& events,

@@ -158,8 +158,16 @@ StatusOr<TaskId> MarketSimulator::PostTask(const TaskSpec& spec) {
   }
 
   const TaskId id = next_task_++;
-  OpenTask& task = tasks_.Insert(id);
-  task.spec = spec;
+  SimulatorTask& task = tasks_.Insert(id);
+  task.processing_rate = spec.processing_rate;
+  task.true_answer = spec.true_answer;
+  task.num_options = spec.num_options;
+  task.price_per_repetition = spec.price_per_repetition;
+  task.on_hold_rate = spec.on_hold_rate;
+  task.per_repetition_prices = spec.per_repetition_prices;
+  task.per_repetition_rates = spec.per_repetition_rates;
+  task.true_curve = spec.true_curve;
+  task.acceptance_timeout = spec.acceptance_timeout;
   if (spec.per_repetition_prices.empty()) {
     task.rep_prices.assign(reps, spec.price_per_repetition);
   } else {
@@ -175,7 +183,7 @@ StatusOr<TaskId> MarketSimulator::PostTask(const TaskSpec& spec) {
   return id;
 }
 
-void MarketSimulator::ExposeCurrentRepetition(TaskId id, OpenTask& task,
+void MarketSimulator::ExposeCurrentRepetition(TaskId id, SimulatorTask& task,
                                               double t, bool reposted,
                                               bool already_on_hold) {
   task.current_posted_time = t;
@@ -193,8 +201,8 @@ void MarketSimulator::ExposeCurrentRepetition(TaskId id, OpenTask& task,
     tasks_.AddOnHold(id,
                      task.rep_rates[rep_slot] / config_.worker_arrival_rate);
   }
-  if (task.spec.acceptance_timeout > 0.0) {
-    PushEvent({t + task.spec.acceptance_timeout, event_sequence_++, id,
+  if (task.acceptance_timeout > 0.0) {
+    PushEvent({t + task.acceptance_timeout, event_sequence_++, id,
                MarketEvent::Kind::kExpiry, task.exposure_generation});
   }
 }
@@ -244,7 +252,7 @@ void MarketSimulator::StepWorkerArrival() {
         all_probs_draw ? rng_.Uniform() < probs[i] : rng_.Bernoulli(probs[i]);
     if (!accepted) continue;
     const TaskId id = ids[i];
-    OpenTask& task = tasks_.on_hold_task(i);
+    SimulatorTask& task = tasks_.on_hold_task(i);
     accepted_positions_.push_back(static_cast<uint32_t>(i));
     task.awaiting_acceptance = false;
     const size_t rep_slot = task.outcome.repetitions.size();
@@ -270,7 +278,7 @@ void MarketSimulator::StepWorkerArrival() {
       PushEvent({now_ + hold, event_sequence_++, id,
                  MarketEvent::Kind::kAbandon, 0});
     } else {
-      const double processing = rng_.Exponential(task.spec.processing_rate);
+      const double processing = rng_.Exponential(task.processing_rate);
       PushEvent({now_ + processing, event_sequence_++, id,
                  MarketEvent::Kind::kCompletion, 0});
     }
@@ -283,11 +291,11 @@ void MarketSimulator::StepWorkerArrival() {
   }
 }
 
-void MarketSimulator::AdvanceTask(TaskId id, OpenTask& task, double t) {
-  if (static_cast<int>(task.outcome.repetitions.size()) >=
-      task.spec.repetitions) {
+void MarketSimulator::AdvanceTask(TaskId id, SimulatorTask& task, double t) {
+  const size_t reps = task.rep_prices.size();
+  if (task.outcome.repetitions.size() >= reps) {
     task.outcome.completed_time = t;
-    Record({t, TraceEventKind::kTaskCompleted, 0, id, task.spec.repetitions});
+    Record({t, TraceEventKind::kTaskCompleted, 0, id, static_cast<int>(reps)});
     tasks_.Complete(id);
     return;
   }
@@ -299,7 +307,7 @@ void MarketSimulator::AdvanceTask(TaskId id, OpenTask& task, double t) {
 void MarketSimulator::ApplyEvent(const MarketEvent& event) {
   now_ = event.time;
   ++event_counts_.events_dispatched;
-  OpenTask* found = tasks_.FindOpen(event.task);
+  SimulatorTask* found = tasks_.FindOpen(event.task);
   if (event.kind == MarketEvent::Kind::kExpiry) {
     // Expiry events may be stale: the task completed, a worker accepted the
     // exposed repetition, or it was already reposted (new generation).
@@ -307,7 +315,7 @@ void MarketSimulator::ApplyEvent(const MarketEvent& event) {
       ++event_counts_.stale_expiries;
       return;
     }
-    OpenTask& task = *found;
+    SimulatorTask& task = *found;
     if (!task.awaiting_acceptance ||
         event.generation != task.exposure_generation) {
       ++event_counts_.stale_expiries;
@@ -324,7 +332,7 @@ void MarketSimulator::ApplyEvent(const MarketEvent& event) {
   }
 
   HTUNE_CHECK(found != nullptr);
-  OpenTask& task = *found;
+  SimulatorTask& task = *found;
 
   if (event.kind == MarketEvent::Kind::kAbandon) {
     // The worker returns the repetition unanswered: drop the attempt, pay
@@ -361,14 +369,14 @@ Status MarketSimulator::Reprice(TaskId id, int new_price,
   if (new_price < 1) {
     return InvalidArgumentError("Reprice: price must be >= 1");
   }
-  OpenTask* found = tasks_.FindOpen(id);
+  SimulatorTask* found = tasks_.FindOpen(id);
   if (found == nullptr) {
     if (tasks_.FindCompleted(id) != nullptr) {
       return FailedPreconditionError("Reprice: task already completed");
     }
     return NotFoundError("Reprice: unknown task id");
   }
-  OpenTask& task = *found;
+  SimulatorTask& task = *found;
   double rate = new_on_hold_rate;
   if (task.effective_curve != nullptr) {
     rate = task.effective_curve->Rate(static_cast<double>(new_price));
@@ -429,13 +437,13 @@ Status MarketSimulator::RunToCompletion() {
   while (tasks_.open_count() > 0) {
     if (++events > kMaxEvents) {
       const TaskId stuck_id = tasks_.LowestOpenId();
-      const OpenTask& stuck = *tasks_.FindOpen(stuck_id);
+      const SimulatorTask& stuck = *tasks_.FindOpen(stuck_id);
       return InternalError(
           "RunToCompletion: event horizon exceeded at t=" +
           std::to_string(now_) + "; task " + std::to_string(stuck_id) +
           " is still open on repetition " +
           std::to_string(stuck.outcome.repetitions.size() + 1) + " of " +
-          std::to_string(stuck.spec.repetitions) + " (" +
+          std::to_string(stuck.rep_prices.size()) + " (" +
           std::to_string(tasks_.open_count()) +
           " open tasks total) — a posted rate is effectively zero");
     }
@@ -488,11 +496,7 @@ StatusOr<int> MarketSimulator::CurrentPrice(TaskId id) const {
     }
     return NotFoundError("CurrentPrice: unknown task id");
   }
-  const size_t reps = open->outcome.repetitions.size();
-  // On hold: the exposed slot == reps. Processing: the in-flight attempt is
-  // the last recorded repetition.
-  const size_t slot = open->awaiting_acceptance ? reps : reps - 1;
-  return open->rep_prices[slot];
+  return open->rep_prices[open->CurrentSlot()];
 }
 
 StatusOr<TaskOutcome> MarketSimulator::GetProgress(TaskId id) const {
@@ -584,26 +588,26 @@ StatusOr<MarketState> MarketSimulator::CaptureState(
   }
   state.open_tasks.reserve(tasks_.open_count());
   Status capture_status = OkStatus();
-  tasks_.ForEachOpenInIdOrder([&](TaskId id, const OpenTask& task) {
+  tasks_.ForEachOpenInIdOrder([&](TaskId id, const SimulatorTask& task) {
     if (!capture_status.ok()) return;
     MarketState::Task t;
     t.id = id;
-    t.price_per_repetition = task.spec.price_per_repetition;
-    t.repetitions = task.spec.repetitions;
-    t.on_hold_rate = task.spec.on_hold_rate;
-    t.spec_prices = task.spec.per_repetition_prices;
-    t.spec_rates = task.spec.per_repetition_rates;
+    t.price_per_repetition = task.price_per_repetition;
+    t.repetitions = static_cast<int>(task.rep_prices.size());
+    t.on_hold_rate = task.on_hold_rate;
+    t.spec_prices = task.per_repetition_prices;
+    t.spec_rates = task.per_repetition_rates;
     StatusOr<int32_t> spec_curve =
-        CurveToIndex(task.spec.true_curve, config_.true_curve, curve_table);
+        CurveToIndex(task.true_curve, config_.true_curve, curve_table);
     if (!spec_curve.ok()) {
       capture_status = spec_curve.status();
       return;
     }
     t.spec_curve = *spec_curve;
-    t.processing_rate = task.spec.processing_rate;
-    t.acceptance_timeout = task.spec.acceptance_timeout;
-    t.true_answer = task.spec.true_answer;
-    t.num_options = task.spec.num_options;
+    t.processing_rate = task.processing_rate;
+    t.acceptance_timeout = task.acceptance_timeout;
+    t.true_answer = task.true_answer;
+    t.num_options = task.num_options;
     t.rep_prices = task.rep_prices;
     t.rep_rates = task.rep_rates;
     StatusOr<int32_t> effective_curve =
@@ -614,7 +618,6 @@ StatusOr<MarketState> MarketSimulator::CaptureState(
     }
     t.effective_curve = *effective_curve;
     t.outcome = task.outcome;
-    t.next_repetition = task.next_repetition;
     t.awaiting_acceptance = task.awaiting_acceptance;
     t.current_posted_time = task.current_posted_time;
     t.exposure_generation = task.exposure_generation;
@@ -638,11 +641,6 @@ Status MarketSimulator::RestoreState(
   // Structural validation first so a failed restore leaves the simulator
   // untouched: a fresh TaskStore is built off to the side and only
   // move-assigned over the live one once everything checks out.
-  for (const MarketState::Event& event : state.events) {
-    if (event.kind > static_cast<uint8_t>(MarketEvent::Kind::kExpiry)) {
-      return InvalidArgumentError("RestoreState: unknown event kind");
-    }
-  }
   // In every reachable state the id space [1, next_task) is exactly the
   // open and completed sets combined; checking it up front also bounds the
   // id-index allocation against hostile snapshot blobs.
@@ -653,8 +651,9 @@ Status MarketSimulator::RestoreState(
         "RestoreState: task id space does not match the open and completed "
         "sets");
   }
-  TaskStore store;
+  TaskStore<SimulatorTask> store;
   store.PrepareForRestore(state.next_task);
+  size_t processing = 0;
   for (const MarketState::Task& t : state.open_tasks) {
     const size_t reps = static_cast<size_t>(t.repetitions);
     if (t.repetitions < 1 || t.rep_prices.size() != reps ||
@@ -663,35 +662,36 @@ Status MarketSimulator::RestoreState(
       return InvalidArgumentError(
           "RestoreState: task repetition shape is inconsistent");
     }
-    if (t.awaiting_acceptance && t.outcome.repetitions.size() >= reps) {
-      // An awaiting task always has an exposed slot left; a state claiming
-      // otherwise would index rep_rates out of bounds on the next arrival.
+    // An open task has a current slot: an exposed repetition left while on
+    // hold (else the next arrival indexes rep_rates out of bounds), an
+    // accepted one while processing.
+    if (t.awaiting_acceptance ? t.outcome.repetitions.size() == reps
+                              : t.outcome.repetitions.empty()) {
       return InvalidArgumentError(
-          "RestoreState: awaiting task has no repetition left to expose");
+          "RestoreState: open task has no current repetition");
     }
-    OpenTask* task = store.InsertForRestore(t.id);
+    processing += t.awaiting_acceptance ? 0 : 1;
+    SimulatorTask* task = store.InsertForRestore(t.id);
     if (task == nullptr) {
       return InvalidArgumentError("RestoreState: duplicate open task id");
     }
-    task->spec.price_per_repetition = t.price_per_repetition;
-    task->spec.repetitions = t.repetitions;
-    task->spec.on_hold_rate = t.on_hold_rate;
-    task->spec.per_repetition_prices = t.spec_prices;
-    task->spec.per_repetition_rates = t.spec_rates;
+    task->price_per_repetition = t.price_per_repetition;
+    task->on_hold_rate = t.on_hold_rate;
+    task->per_repetition_prices = t.spec_prices;
+    task->per_repetition_rates = t.spec_rates;
     HTUNE_ASSIGN_OR_RETURN(
-        task->spec.true_curve,
+        task->true_curve,
         CurveFromIndex(t.spec_curve, config_.true_curve, curve_table));
-    task->spec.processing_rate = t.processing_rate;
-    task->spec.acceptance_timeout = t.acceptance_timeout;
-    task->spec.true_answer = t.true_answer;
-    task->spec.num_options = t.num_options;
+    task->processing_rate = t.processing_rate;
+    task->acceptance_timeout = t.acceptance_timeout;
+    task->true_answer = t.true_answer;
+    task->num_options = t.num_options;
     task->rep_prices = t.rep_prices;
     task->rep_rates = t.rep_rates;
     HTUNE_ASSIGN_OR_RETURN(
         task->effective_curve,
         CurveFromIndex(t.effective_curve, config_.true_curve, curve_table));
     task->outcome = t.outcome;
-    task->next_repetition = t.next_repetition;
     task->awaiting_acceptance = t.awaiting_acceptance;
     task->current_posted_time = t.current_posted_time;
     task->exposure_generation = t.exposure_generation;
@@ -733,12 +733,36 @@ Status MarketSimulator::RestoreState(
       return InvalidArgumentError("RestoreState: duplicate completed id");
     }
   }
+  // Every completion or abandon settles the in-flight repetition of a
+  // processing task, and each processing task has exactly one; an expiry
+  // may be stale (ApplyEvent skips it).
   std::vector<MarketEvent> events;
   events.reserve(state.events.size());
+  std::vector<TaskId> in_flight;
   for (const MarketState::Event& event : state.events) {
-    events.push_back({event.time, event.sequence, event.task,
-                      static_cast<MarketEvent::Kind>(event.kind),
+    const auto kind = static_cast<MarketEvent::Kind>(event.kind);
+    if (event.kind > static_cast<uint8_t>(MarketEvent::Kind::kExpiry)) {
+      return InvalidArgumentError("RestoreState: unknown event kind");
+    }
+    if (kind != MarketEvent::Kind::kExpiry) {
+      const SimulatorTask* task = store.FindOpen(event.task);
+      if (task == nullptr || task->awaiting_acceptance) {
+        return InvalidArgumentError(
+            "RestoreState: completion or abandon event names no processing "
+            "task");
+      }
+      in_flight.push_back(event.task);
+    }
+    events.push_back({event.time, event.sequence, event.task, kind,
                       event.generation});
+  }
+  std::sort(in_flight.begin(), in_flight.end());
+  if (in_flight.size() != processing ||
+      std::adjacent_find(in_flight.begin(), in_flight.end()) !=
+          in_flight.end()) {
+    return InvalidArgumentError(
+        "RestoreState: a processing task needs exactly one pending "
+        "completion or abandon event");
   }
 
   now_ = state.now;
@@ -751,7 +775,7 @@ Status MarketSimulator::RestoreState(
   queue_.Assign(std::move(events));
   tasks_ = std::move(store);
   // Rebuild the on-hold index (not serialized: it is derivable state).
-  tasks_.ForEachOpenInIdOrder([&](TaskId id, const OpenTask& task) {
+  tasks_.ForEachOpenInIdOrder([&](TaskId id, const SimulatorTask& task) {
     if (task.awaiting_acceptance) {
       tasks_.AddOnHold(id,
                        task.rep_rates[task.outcome.repetitions.size()] /

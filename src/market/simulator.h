@@ -88,6 +88,47 @@ struct MarketConfig {
   uint32_t trace_mask = kTraceMaskAll;
 };
 
+/// MarketSimulator's slot type: the engine-neutral OpenTask plus the
+/// single-job engine's own terms.
+struct SimulatorTask : OpenTask {
+  /// The posted TaskSpec's remaining fields, kept as posted so a snapshot
+  /// records the spec faithfully (the normalized rep_prices and rep_rates
+  /// govern execution).
+  int price_per_repetition = 1;
+  double on_hold_rate = 1.0;
+  std::vector<int> per_repetition_prices;
+  std::vector<double> per_repetition_rates;
+  std::shared_ptr<const PriceRateCurve> true_curve;
+  double acceptance_timeout = 0.0;
+  /// Normalized per-repetition on-hold rates (scalar spec expanded).
+  std::vector<double> rep_rates;
+  /// Effective market-behaviour curve (task override or market global);
+  /// null when the caller's explicit rates govern.
+  std::shared_ptr<const PriceRateCurve> effective_curve;
+  /// Bumped on every (re)exposure; invalidates stale expiry events.
+  uint64_t exposure_generation = 0;
+  /// Terms set by the latest Reprice (or -1 when never repriced): an
+  /// abandoned repetition is re-exposed at these, not at the terms the
+  /// abandoning worker accepted under.
+  int reprice_price = -1;
+  double reprice_rate = 0.0;
+
+  void ResetForReuse() {
+    OpenTask::ResetForReuse();
+    price_per_repetition = 1;
+    on_hold_rate = 1.0;
+    per_repetition_prices.clear();
+    per_repetition_rates.clear();
+    true_curve.reset();
+    acceptance_timeout = 0.0;
+    rep_rates.clear();
+    effective_curve.reset();
+    exposure_generation = 0;
+    reprice_price = -1;
+    reprice_rate = 0.0;
+  }
+};
+
 /// Complete dynamic state of a MarketSimulator as plain serializable data,
 /// for checkpoint/restore (src/durability). The MarketConfig is NOT part of
 /// the state: recovery reconstructs the simulator from the same config the
@@ -117,7 +158,9 @@ struct MarketState {
     uint64_t generation = 0;
   };
 
-  /// Mirror of OpenTask plus its TaskSpec.
+  /// Mirror of SimulatorTask. `repetitions` and `next_repetition` keep
+  /// their place in the frozen layout: capture writes rep_prices.size()
+  /// and 0, and restore requires the former.
   struct Task {
     TaskId id = 0;
     // TaskSpec fields (scalar price/rate retained for faithfulness even
@@ -132,7 +175,7 @@ struct MarketState {
     double acceptance_timeout = 0.0;
     int true_answer = 0;
     int num_options = 2;
-    // OpenTask fields.
+    // Task state.
     std::vector<int> rep_prices;
     std::vector<double> rep_rates;
     int32_t effective_curve = kCurveNone;
@@ -313,13 +356,13 @@ class MarketSimulator {
   /// Applies the event at the head of the event queue.
   void ApplyEvent(const MarketEvent& event);
   /// Exposes the next repetition of `task` (or finalizes it) at time `t`.
-  void AdvanceTask(TaskId id, OpenTask& task, double t);
+  void AdvanceTask(TaskId id, SimulatorTask& task, double t);
   /// Puts the current repetition of `task` (back) on hold at time `t`,
   /// arming the acceptance-timeout clock. `reposted` records a kReposted
   /// trace event (abandonment / expiry recovery). `already_on_hold` is set
   /// on the expiry path, where the task never left the on-hold index (and
   /// its cached acceptance probability is already current).
-  void ExposeCurrentRepetition(TaskId id, OpenTask& task, double t,
+  void ExposeCurrentRepetition(TaskId id, SimulatorTask& task, double t,
                                bool reposted, bool already_on_hold);
 
   MarketConfig config_;
@@ -330,7 +373,7 @@ class MarketSimulator {
   TaskId next_task_ = 1;
   uint64_t event_sequence_ = 0;
   long total_spent_ = 0;
-  TaskStore tasks_;
+  TaskStore<SimulatorTask> tasks_;
   CalendarEventQueue queue_;
   std::vector<TraceEvent> trace_;
   // HTUNE_TRANSIENT: report-only event tallies, reset on resume

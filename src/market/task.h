@@ -1,6 +1,7 @@
 #ifndef HTUNE_MARKET_TASK_H_
 #define HTUNE_MARKET_TASK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -49,48 +50,38 @@ struct TaskSpec {
   int num_options = 2;
 };
 
-/// A posted task's live state while it is open. Owned by the TaskStore in a
-/// recycled slot; ResetForReuse clears a previous tenant field by field so
-/// the slot's vector capacity survives recycling.
+/// The engine-neutral record of a posted task while it is open: what both
+/// market engines read after PostTask (the paper's task of §3.1/§4.3: its
+/// per-repetition prices, processing rate, answer and outcome). Owned by a
+/// TaskStore in a recycled slot; ResetForReuse clears a previous tenant
+/// field by field so the slot's vector capacity survives recycling. An
+/// engine that needs more per task derives its own slot type (the single-job
+/// engine's SimulatorTask in market/simulator.h).
 struct OpenTask {
-  TaskSpec spec;
-  /// Normalized per-repetition payments/rates (scalar spec expanded).
+  /// Payment of each repetition, one entry per repetition; its size is the
+  /// task's repetition count.
   std::vector<int> rep_prices;
-  std::vector<double> rep_rates;
-  /// Effective market-behaviour curve (task override or market global);
-  /// null when the caller's explicit rates govern.
-  std::shared_ptr<const PriceRateCurve> effective_curve;
   TaskOutcome outcome;
-  /// Index (0-based) of the repetition currently exposed to workers, ==
-  /// outcome.repetitions.size() while a repetition is on hold or being
-  /// processed.
-  int next_repetition = 0;
-  /// True while the current repetition awaits a worker (on-hold phase).
-  bool awaiting_acceptance = true;
+  /// Processing clock rate lambda_p (difficulty; price independent).
+  double processing_rate = 1.0;
   /// Posted time of the currently exposed repetition.
   double current_posted_time = 0.0;
-  /// Bumped on every (re)exposure; invalidates stale expiry events.
-  uint64_t exposure_generation = 0;
-  /// Terms set by the latest Reprice (or -1 when never repriced): an
-  /// abandoned repetition is re-exposed at these, not at the terms the
-  /// abandoning worker accepted under.
-  int reprice_price = -1;
-  double reprice_rate = 0.0;
+  /// Ground-truth option index, and how many options a worker picks from.
+  int true_answer = 0;
+  int num_options = 2;
+  /// True while the current repetition awaits a worker (on-hold phase).
+  bool awaiting_acceptance = true;
+
+  /// The repetition the task is working on: the exposed one while on hold,
+  /// else the in-flight one, which is the last accepted (both engines'
+  /// restores refuse a processing task without one).
+  size_t CurrentSlot() const {
+    const size_t accepted = outcome.repetitions.size();
+    return awaiting_acceptance ? accepted : accepted - 1;
+  }
 
   void ResetForReuse() {
-    spec.price_per_repetition = 1;
-    spec.repetitions = 1;
-    spec.on_hold_rate = 1.0;
-    spec.per_repetition_prices.clear();
-    spec.per_repetition_rates.clear();
-    spec.true_curve.reset();
-    spec.processing_rate = 1.0;
-    spec.acceptance_timeout = 0.0;
-    spec.true_answer = 0;
-    spec.num_options = 2;
     rep_prices.clear();
-    rep_rates.clear();
-    effective_curve.reset();
     outcome.id = 0;
     outcome.posted_time = 0.0;
     outcome.completed_time = 0.0;
@@ -98,12 +89,11 @@ struct OpenTask {
     outcome.abandoned_attempts = 0;
     outcome.expired_posts = 0;
     outcome.reposted_posts = 0;
-    next_repetition = 0;
-    awaiting_acceptance = true;
+    processing_rate = 1.0;
     current_posted_time = 0.0;
-    exposure_generation = 0;
-    reprice_price = -1;
-    reprice_rate = 0.0;
+    true_answer = 0;
+    num_options = 2;
+    awaiting_acceptance = true;
   }
 };
 
@@ -115,11 +105,11 @@ inline void DrawAnswer(Random& rng, double error_prob, const OpenTask& task,
                        RepetitionOutcome& rep) {
   if (rng.Bernoulli(error_prob)) {
     const int wrong = static_cast<int>(
-        rng.UniformInt(static_cast<uint64_t>(task.spec.num_options - 1)));
-    rep.answer = wrong >= task.spec.true_answer ? wrong + 1 : wrong;
+        rng.UniformInt(static_cast<uint64_t>(task.num_options - 1)));
+    rep.answer = wrong >= task.true_answer ? wrong + 1 : wrong;
     rep.correct = false;
   } else {
-    rep.answer = task.spec.true_answer;
+    rep.answer = task.true_answer;
     rep.correct = true;
   }
 }

@@ -1,5 +1,6 @@
 #include "platform/shared_market.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <utility>
@@ -52,17 +53,6 @@ Status CheckRepPrice(const PriceRateCurve& curve, int price) {
 
 constexpr size_t LowBit(size_t i) { return i & (~i + 1); }
 
-/// Completed repetitions of an open task (the current one is exposed or
-/// processing).
-size_t RepsDone(const OpenTask& task) {
-  const size_t accepted = task.outcome.repetitions.size();
-  return task.awaiting_acceptance || accepted == 0 ||
-                 task.outcome.repetitions.back().completed_time > 0.0 ||
-                 task.outcome.completed_time > 0.0
-             ? accepted
-             : accepted - 1;
-}
-
 }  // namespace
 
 struct SharedMarket::SharedJob {
@@ -70,7 +60,7 @@ struct SharedMarket::SharedJob {
   Random rng;
   /// Every task the job posted: open ones by id, completed outcomes in
   /// completion order.
-  TaskStore tasks;
+  TaskStore<OpenTask> tasks;
   long spent = 0;
   /// Per posted task, at index id - 1: the weight units of the current
   /// price while the task is on hold, 0 while it is processed or once it
@@ -241,10 +231,9 @@ StatusOr<TaskId> SharedMarket::PostTask(uint64_t job_id,
   }
   const TaskId id = job->NextTask();
   OpenTask& task = job->tasks.Insert(id);
-  task.spec.repetitions = static_cast<int>(rep_prices.size());
-  task.spec.processing_rate = processing_rate;
-  task.spec.true_answer = true_answer;
-  task.spec.num_options = num_options;
+  task.processing_rate = processing_rate;
+  task.true_answer = true_answer;
+  task.num_options = num_options;
   task.rep_prices = rep_prices;
   task.outcome.id = id;
   task.outcome.posted_time = now_;
@@ -277,7 +266,7 @@ Status SharedMarket::Reprice(uint64_t job_id, TaskId task_id, int new_price) {
   }
   // The accepted (in-flight) repetition keeps its original terms; the
   // current exposure and everything after it re-post at the new price.
-  for (size_t i = RepsDone(*task); i < task->rep_prices.size(); ++i) {
+  for (size_t i = task->CurrentSlot(); i < task->rep_prices.size(); ++i) {
     task->rep_prices[i] = new_price;
   }
   if (task->awaiting_acceptance) {
@@ -354,7 +343,7 @@ void SharedMarket::StepArrival() {
   // the job's private stream (DrawAnswer's draws, then the processing
   // Exponential — a fixed draw order).
   OpenTask& task = *job.tasks.FindOpen(selected);
-  const size_t slot = RepsDone(task);
+  const size_t slot = task.CurrentSlot();
   RepetitionOutcome rep;
   rep.posted_time = task.current_posted_time;
   rep.accepted_time = now_;
@@ -368,7 +357,7 @@ void SharedMarket::StepArrival() {
   Record(job, {now_, TraceEventKind::kTaskAccepted, draw.worker, selected,
                static_cast<int>(slot) + 1});
 
-  const double processing = job.rng.Exponential(task.spec.processing_rate);
+  const double processing = job.rng.Exponential(task.processing_rate);
   queue_.Push({now_ + processing, event_sequence_++, selected,
                 MarketEvent::Kind::kCompletion, job.id});
 }
@@ -388,7 +377,7 @@ void SharedMarket::ApplyCompletion(const MarketEvent& event) {
   Record(*job, {now_, TraceEventKind::kRepetitionCompleted, rep.worker,
                 event.task, rep_index});
 
-  if (rep_index == task->spec.repetitions) {
+  if (task->outcome.repetitions.size() == task->rep_prices.size()) {
     task->outcome.completed_time = now_;
     Record(*job, {now_, TraceEventKind::kTaskCompleted, 0, event.task,
                   rep_index});
@@ -398,7 +387,8 @@ void SharedMarket::ApplyCompletion(const MarketEvent& event) {
   } else {
     task->awaiting_acceptance = true;
     task->current_posted_time = now_;
-    job->SetHold(event.task, WeightUnits(task->rep_prices[RepsDone(*task)]));
+    job->SetHold(event.task,
+                 WeightUnits(task->rep_prices[task->CurrentSlot()]));
   }
 }
 
@@ -512,7 +502,7 @@ StatusOr<int> SharedMarket::CurrentPrice(uint64_t job_id,
                                    std::to_string(task_id) +
                                    " completed or unknown");
   }
-  return task->rep_prices[RepsDone(*task)];
+  return task->rep_prices[task->CurrentSlot()];
 }
 
 std::string SharedMarket::CaptureState() const {
@@ -529,11 +519,9 @@ std::string SharedMarket::CaptureState() const {
   const std::vector<MarketEvent> events = queue_.SortedSnapshot();
   e.PutU64(events.size());
   for (const MarketEvent& event : events) {
-    e.PutDouble(event.time);
-    e.PutU64(event.sequence);
-    e.PutU64(event.task);
-    e.PutU8(static_cast<uint8_t>(event.kind));
-    e.PutU64(event.generation);
+    EncodeEvent({event.time, event.sequence, event.task,
+                 static_cast<uint8_t>(event.kind), event.generation},
+                e);
   }
 
   e.PutU64(jobs_.size());
@@ -543,9 +531,9 @@ std::string SharedMarket::CaptureState() const {
     PutFields(e, job.NextTask(), int64_t{job.spent},
               uint64_t{job.tasks.open_count()});
     job.tasks.ForEachOpenInIdOrder([&e](TaskId id, const OpenTask& task) {
-      PutFields(e, id, task.rep_prices, task.spec.processing_rate,
-                task.spec.true_answer, task.spec.num_options,
-                task.awaiting_acceptance, task.current_posted_time);
+      PutFields(e, id, task.rep_prices, task.processing_rate,
+                task.true_answer, task.num_options, task.awaiting_acceptance,
+                task.current_posted_time);
       EncodeTaskOutcome(task.outcome, e);
     });
     e.PutU64(job.tasks.completed().size());
@@ -581,18 +569,9 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
   if (event_count > d.remaining()) {
     return InvalidArgumentError("SharedMarket: corrupt event count");
   }
-  std::vector<MarketEvent> events;
-  events.reserve(static_cast<size_t>(event_count));
-  for (uint64_t i = 0; i < event_count; ++i) {
-    MarketEvent event;
-    uint8_t kind = 0;
-    HTUNE_RETURN_IF_ERROR(d.GetDouble(&event.time));
-    HTUNE_RETURN_IF_ERROR(d.GetU64(&event.sequence));
-    HTUNE_RETURN_IF_ERROR(d.GetU64(&event.task));
-    HTUNE_RETURN_IF_ERROR(d.GetU8(&kind));
-    HTUNE_RETURN_IF_ERROR(d.GetU64(&event.generation));
-    event.kind = static_cast<MarketEvent::Kind>(kind);
-    events.push_back(event);
+  std::vector<MarketState::Event> events(static_cast<size_t>(event_count));
+  for (MarketState::Event& event : events) {
+    HTUNE_RETURN_IF_ERROR(DecodeEvent(d, event));
   }
 
   uint64_t job_count = 0;
@@ -603,6 +582,7 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
   std::vector<SharedJob> jobs;
   jobs.reserve(static_cast<size_t>(job_count));
   size_t open_tasks = 0;
+  size_t processing = 0;
   for (uint64_t i = 0; i < job_count; ++i) {
     uint64_t job_id = 0;
     HTUNE_RETURN_IF_ERROR(d.GetU64(&job_id));
@@ -648,25 +628,27 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
       }
       last_id = id;
       HTUNE_RETURN_IF_ERROR(GetFields(
-          d, task->rep_prices, task->spec.processing_rate,
-          task->spec.true_answer, task->spec.num_options,
-          task->awaiting_acceptance, task->current_posted_time));
+          d, task->rep_prices, task->processing_rate, task->true_answer,
+          task->num_options, task->awaiting_acceptance,
+          task->current_posted_time));
       HTUNE_RETURN_IF_ERROR(DecodeTaskOutcome(d, task->outcome));
-      task->spec.repetitions = static_cast<int>(task->rep_prices.size());
-      if (task->rep_prices.empty() ||
-          task->outcome.repetitions.size() > task->rep_prices.size() ||
-          (task->awaiting_acceptance &&
-           RepsDone(*task) == task->rep_prices.size())) {
+      // An open task has a current slot: an exposed repetition left while
+      // on hold, an accepted one while processing.
+      const size_t accepted = task->outcome.repetitions.size();
+      if (accepted > task->rep_prices.size() ||
+          (task->awaiting_acceptance ? accepted == task->rep_prices.size()
+                                     : accepted == 0)) {
         return InvalidArgumentError(
             "SharedMarket: snapshot task shape invalid");
       }
+      processing += task->awaiting_acceptance ? 0 : 1;
       for (const int price : task->rep_prices) {
         HTUNE_RETURN_IF_ERROR(CheckRepPrice(*config_.curve, price));
       }
       // The hold units are derived state: recompute from the curve, the
       // same call a continuously-running engine made at the last change.
       if (task->awaiting_acceptance) {
-        job.hold[id - 1] = WeightUnits(task->rep_prices[RepsDone(*task)]);
+        job.hold[id - 1] = WeightUnits(task->rep_prices[task->CurrentSlot()]);
       }
     }
     open_tasks += job.tasks.open_count();
@@ -691,10 +673,42 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
   }
   HTUNE_RETURN_IF_ERROR(d.ExpectDone());
 
+  // Every pending event is the completion of a processing task of a job in
+  // the snapshot (its generation carries the job id), one per such task.
+  std::vector<MarketEvent> pending;
+  pending.reserve(events.size());
+  std::vector<std::pair<uint64_t, TaskId>> in_flight;
+  for (const MarketState::Event& event : events) {
+    const auto job = std::lower_bound(
+        jobs.begin(), jobs.end(), event.generation,
+        [](const SharedJob& j, uint64_t id) { return j.id < id; });
+    const OpenTask* task =
+        job != jobs.end() && job->id == event.generation
+            ? job->tasks.FindOpen(event.task)
+            : nullptr;
+    if (event.kind != static_cast<uint8_t>(MarketEvent::Kind::kCompletion) ||
+        task == nullptr || task->awaiting_acceptance) {
+      return InvalidArgumentError(
+          "SharedMarket: snapshot event is not the completion of a "
+          "processing task");
+    }
+    in_flight.emplace_back(event.generation, event.task);
+    pending.push_back({event.time, event.sequence, event.task,
+                       MarketEvent::Kind::kCompletion, event.generation});
+  }
+  std::sort(in_flight.begin(), in_flight.end());
+  if (in_flight.size() != processing ||
+      std::adjacent_find(in_flight.begin(), in_flight.end()) !=
+          in_flight.end()) {
+    return InvalidArgumentError(
+        "SharedMarket: a processing task needs exactly one pending "
+        "completion");
+  }
+
   stream_.RestoreState(stream);
   now_ = restored_now;
   event_sequence_ = event_sequence;
-  queue_.Assign(std::move(events));
+  queue_.Assign(std::move(pending));
   jobs_ = std::move(jobs);
   open_tasks_ = open_tasks;
   return OkStatus();

@@ -488,6 +488,80 @@ TEST(SnapshotTest, RestoredMarketContinuesBitwiseIdentically) {
   }
 }
 
+// Every completion or abandon event settles the in-flight repetition of a
+// processing task, one per such task, and a processing task has accepted a
+// repetition; RunUntil relies on all three. A stale expiry stays legal.
+TEST(SnapshotTest, RestoreRejectsEventsWithoutAProcessingTask) {
+  MarketSimulator market(AbandonmentConfig());
+  PostSomeTasks(market, 6);
+  market.RunUntil(0.8);
+  const auto state = market.CaptureState({});
+  ASSERT_TRUE(state.ok());
+  TaskId on_hold = 0;
+  size_t busy = state->open_tasks.size();
+  for (size_t i = 0; i < state->open_tasks.size(); ++i) {
+    if (state->open_tasks[i].awaiting_acceptance) {
+      on_hold = state->open_tasks[i].id;
+    } else {
+      busy = i;
+    }
+  }
+  ASSERT_NE(on_hold, 0u);
+  ASSERT_LT(busy, state->open_tasks.size());
+  const TaskId busy_id = state->open_tasks[busy].id;
+  const uint8_t expiry = static_cast<uint8_t>(MarketEvent::Kind::kExpiry);
+  const uint8_t completion =
+      static_cast<uint8_t>(MarketEvent::Kind::kCompletion);
+  size_t busy_event = state->events.size();
+  for (size_t i = 0; i < state->events.size(); ++i) {
+    if (state->events[i].task == busy_id && state->events[i].kind != expiry) {
+      busy_event = i;
+    }
+  }
+  ASSERT_LT(busy_event, state->events.size());
+  auto restore = [](const MarketState& patched) {
+    MarketSimulator restored(AbandonmentConfig());
+    return restored.RestoreState(patched, {}).code();
+  };
+  auto patched = [&](auto edit) {
+    MarketState copy = *state;
+    edit(copy);
+    return restore(copy);
+  };
+  EXPECT_EQ(restore(*state), StatusCode::kOk);
+  EXPECT_EQ(patched([&](MarketState& s) {
+              s.events.push_back({9.0, s.event_sequence++, 999, expiry, 1});
+            }),
+            StatusCode::kOk);  // stale expiry of a task never posted
+  EXPECT_EQ(patched([&](MarketState& s) {
+              s.events.push_back(
+                  {9.0, s.event_sequence++, on_hold, completion, 0});
+            }),
+            StatusCode::kInvalidArgument);  // names an on-hold task
+  EXPECT_EQ(patched([&](MarketState& s) {
+              s.events.push_back({9.0, s.event_sequence++, 999, completion, 0});
+            }),
+            StatusCode::kInvalidArgument);  // names no open task
+  EXPECT_EQ(patched([&](MarketState& s) {
+              s.events.erase(s.events.begin() +
+                             static_cast<std::ptrdiff_t>(busy_event));
+            }),
+            StatusCode::kInvalidArgument);  // processing without an event
+  EXPECT_EQ(
+      patched([&](MarketState& s) { s.events[busy_event].kind = expiry; }),
+      StatusCode::kInvalidArgument);  // its only event became an expiry
+  EXPECT_EQ(patched([&](MarketState& s) {
+              MarketState::Event twin = s.events[busy_event];
+              twin.sequence = s.event_sequence++;
+              s.events.push_back(twin);
+            }),
+            StatusCode::kInvalidArgument);  // two events for one task
+  EXPECT_EQ(patched([&](MarketState& s) {
+              s.open_tasks[busy].outcome.repetitions.clear();
+            }),
+            StatusCode::kInvalidArgument);  // processing, nothing accepted
+}
+
 TEST(SnapshotTest, CaptureRejectsUnknownCurves) {
   MarketConfig config;
   config.seed = 3;

@@ -31,7 +31,10 @@ class RuleFixtureTest(unittest.TestCase):
         ("nondeterminism", "src/model/fixture.cc", "nondeterminism", 5),
         ("unordered_iter", "src/obs/fixture.cc", "unordered-iter", 1),
         ("market_obs", "src/market/fixture.cc", "market-obs", 1),
+        ("market_obs", "src/platform/shared_market.cc", "market-obs", 1),
         ("market_node_map", "src/market/fixture.cc", "market-node-map", 3),
+        ("market_node_map", "src/platform/shared_market.h",
+         "market-node-map", 3),
         ("raw_mutex", "src/tuning/fixture.cc", "raw-mutex", 2),
         ("raw_retry", "src/control/fixture.cc", "raw-retry", 3),
         ("fleet_lifecycle", "src/control/fixture.cc", "fleet-lifecycle", 2),
@@ -39,7 +42,7 @@ class RuleFixtureTest(unittest.TestCase):
 
     def test_positive_fixtures_fire(self):
         for stem, vpath, rule, expected in self.CASES:
-            with self.subTest(rule=rule):
+            with self.subTest(rule=rule, path=vpath):
                 findings = lint_fixture(f"{stem}_positive.cc", vpath)
                 self.assertEqual(len(findings), expected,
                                  [str(f) for f in findings])
@@ -47,13 +50,13 @@ class RuleFixtureTest(unittest.TestCase):
 
     def test_suppressed_fixtures_are_silent(self):
         for stem, vpath, rule, _ in self.CASES:
-            with self.subTest(rule=rule):
+            with self.subTest(rule=rule, path=vpath):
                 findings = lint_fixture(f"{stem}_suppressed.cc", vpath)
                 self.assertEqual([str(f) for f in findings], [])
 
     def test_clean_fixtures_are_silent(self):
         for stem, vpath, rule, _ in self.CASES:
-            with self.subTest(rule=rule):
+            with self.subTest(rule=rule, path=vpath):
                 findings = lint_fixture(f"{stem}_clean.cc", vpath)
                 self.assertEqual([str(f) for f in findings], [])
 
@@ -73,6 +76,8 @@ class RuleScopingTest(unittest.TestCase):
     def test_node_map_rule_scoped_to_market(self):
         text = "std::map<int, int> by_id;\n"
         self.assertEqual(lint_htune.lint_text(text, "src/control/foo.cc"), [])
+        self.assertEqual(
+            lint_htune.lint_text(text, "src/platform/service.cc"), [])
         findings = lint_htune.lint_text(text, "src/market/foo.cc")
         self.assertEqual([f.rule for f in findings], ["market-node-map"])
 

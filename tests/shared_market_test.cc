@@ -830,5 +830,90 @@ TEST(SharedMarketTest, RestoreRejectsInvalidTaskIds) {
             StatusCode::kInvalidArgument);
 }
 
+// Every pending event completes a processing task of a job in the
+// snapshot, one per processing task, and a processing task has accepted a
+// repetition; RunUntil relies on all three. Patch the one event (task 1's
+// completion; task 2 is on hold) and task 1's outcome in a valid snapshot.
+TEST(SharedMarketTest, RestoreRejectsEventsWithoutAProcessingTask) {
+  SharedMarket donor(BaseConfig());
+  ASSERT_TRUE(donor.AddJob(1, 86).ok());
+  ASSERT_TRUE(donor.PostTask(1, {3}, 1e-6).ok());
+  donor.RunUntil(1.0);
+  ASSERT_FALSE(donor.OnHoldSince(1, 1).ok());  // accepted, processing
+  ASSERT_TRUE(donor.PostTask(1, {2}, 1.0).ok());
+  const std::string valid = donor.CaptureState();
+
+  // The events follow the version, the shared stream (two clocks, the
+  // arrival count, its RNG), the clock, the event sequence and the count.
+  Decoder d(valid);
+  uint32_t version = 0;
+  double clock = 0.0;
+  uint64_t word = 0;
+  Random::State rng;
+  ASSERT_TRUE(d.GetU32(&version).ok());
+  ASSERT_TRUE(d.GetDouble(&clock).ok());
+  ASSERT_TRUE(d.GetDouble(&clock).ok());
+  ASSERT_TRUE(d.GetU64(&word).ok());
+  ASSERT_TRUE(DecodeRngState(d, rng).ok());
+  ASSERT_TRUE(d.GetDouble(&clock).ok());
+  ASSERT_TRUE(d.GetU64(&word).ok());
+  const size_t count_at = valid.size() - d.remaining();
+  ASSERT_TRUE(d.GetU64(&word).ok());
+  ASSERT_EQ(word, 1u);
+  MarketState::Event event;
+  ASSERT_TRUE(DecodeEvent(d, event).ok());
+  const size_t events_end = valid.size() - d.remaining();
+  ASSERT_EQ(event.task, 1u);
+  ASSERT_EQ(event.generation, 1u);
+  auto with_events = [&](const std::vector<MarketState::Event>& events) {
+    Encoder patch;
+    patch.PutU64(events.size());
+    for (const MarketState::Event& e : events) EncodeEvent(e, patch);
+    std::string bytes = valid;
+    bytes.replace(count_at, events_end - count_at, patch.Release());
+    return SharedMarket(BaseConfig()).RestoreState(bytes).code();
+  };
+  auto patched = [&](auto edit) {
+    MarketState::Event e = event;
+    edit(e);
+    return with_events({e});
+  };
+  EXPECT_EQ(with_events({event}), StatusCode::kOk);
+  EXPECT_EQ(patched([](MarketState::Event& e) {
+              e.kind = static_cast<uint8_t>(MarketEvent::Kind::kAbandon);
+            }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(patched([](MarketState::Event& e) { e.generation = 2; }),
+            StatusCode::kInvalidArgument);  // no such job
+  EXPECT_EQ(patched([](MarketState::Event& e) { e.task = 2; }),
+            StatusCode::kInvalidArgument);  // on hold
+  EXPECT_EQ(patched([](MarketState::Event& e) { e.task = 3; }),
+            StatusCode::kInvalidArgument);  // never posted
+  EXPECT_EQ(with_events({}), StatusCode::kInvalidArgument);
+  MarketState::Event twin = event;
+  ++twin.sequence;
+  EXPECT_EQ(with_events({event, twin}), StatusCode::kInvalidArgument);
+
+  // Task 1's outcome follows its id, prices {3}, processing rate, true
+  // answer, option count, on_hold byte and posted time; its repetition
+  // count sits after the outcome's id and two clocks. Drop the one
+  // accepted repetition (41 bytes).
+  Encoder task_start;
+  task_start.PutU64(1);
+  task_start.PutI32Vector({3});
+  const size_t task_at = valid.find(task_start.Release());
+  ASSERT_NE(task_at, std::string::npos);
+  const size_t reps_at = task_at + 8 + 12 + 8 + 4 + 4 + 1 + 8 + 24;
+  Encoder one;
+  one.PutU64(1);
+  ASSERT_EQ(valid.substr(reps_at, 8), one.Release());
+  std::string no_reps = valid;
+  Encoder zero;
+  zero.PutU64(0);
+  no_reps.replace(reps_at, 8 + 41, zero.Release());
+  EXPECT_EQ(SharedMarket(BaseConfig()).RestoreState(no_reps).code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace htune

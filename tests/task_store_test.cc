@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "market/simulator.h"
 #include "market/task_store.h"
 #include "rng/random.h"
 
@@ -66,23 +67,21 @@ TEST(TaskStoreTest, CompletedKeepsCompletionOrderNotIdOrder) {
 }
 
 TEST(TaskStoreTest, RecycledSlotIsResetButKeepsCapacity) {
-  TaskStore store;
-  OpenTask& first = store.Insert(1);
+  TaskStore<SimulatorTask> store;
+  SimulatorTask& first = store.Insert(1);
   first.outcome.id = 1;
   first.rep_rates.assign(64, 2.0);
   first.rep_prices.assign(64, 3);
-  first.next_repetition = 7;
   first.awaiting_acceptance = false;
   first.exposure_generation = 9;
   const size_t rates_capacity = first.rep_rates.capacity();
   store.Complete(1);
 
   // Id 2 must recycle id 1's slot: state fully reset, capacity retained.
-  OpenTask& second = store.Insert(2);
+  SimulatorTask& second = store.Insert(2);
   EXPECT_TRUE(second.rep_rates.empty());
   EXPECT_TRUE(second.rep_prices.empty());
   EXPECT_TRUE(second.outcome.repetitions.empty());
-  EXPECT_EQ(second.next_repetition, 0);
   EXPECT_TRUE(second.awaiting_acceptance);
   EXPECT_EQ(second.exposure_generation, 0u);
   EXPECT_EQ(second.reprice_price, -1);

@@ -19,21 +19,25 @@ dedicated (pure-stdlib) linter. Rules:
                    replay/export contract. Order-independent loops
                    (pure counting/clearing) carry a suppression with a
                    justification.
-  market-obs       No observability macros (HTUNE_OBS_*) inside
-                   src/market/: the simulator is replayed record-by-
-                   record during crash recovery, and instrumentation in
-                   the replayed region would observe double counts
-                   (metrics publish from control/market_metrics.h
+  market-obs       No observability macros (HTUNE_OBS_*) in either
+                   market engine (src/market/ and
+                   src/platform/shared_market.{h,cc}): both engines are
+                   restored and re-run during crash recovery, and
+                   instrumentation in the replayed region would observe
+                   double counts (metrics publish from
+                   control/market_metrics.h and the platform service
                    instead).
   market-node-map  No node-based ordered containers (std::map, std::set,
-                   their multi variants, or their includes) in
-                   src/market/: the simulator's hot loop was rewritten
+                   their multi variants, or their includes) in either
+                   market engine: the simulator's hot loop was rewritten
                    onto the flat TaskStore / calendar queue precisely to
-                   kill per-node allocation and pointer chasing, and a
-                   node map reintroduced anywhere in the engine tends to
-                   creep back into a per-event path. Use TaskStore, the
-                   on-hold index, sorted vectors, or (for untrusted-id
-                   bookkeeping) unordered_map.
+                   kill per-node allocation and pointer chasing, the
+                   serving engine's gang loop runs on the same store and
+                   a Fenwick tree, and a node map reintroduced anywhere
+                   in an engine tends to creep back into a per-event
+                   path. Use TaskStore, the on-hold index, sorted
+                   vectors, or (for untrusted-id bookkeeping)
+                   unordered_map.
   raw-mutex        No raw std synchronization types outside
                    src/common/mutex.h: only the annotated htune wrappers
                    carry Clang capability attributes, so a raw
@@ -117,15 +121,19 @@ RETRY_LOOP_RE = re.compile(
 FLEET_STATE_ASSIGN_RE = re.compile(r"(?<![=!<>])=\s*FleetJobState::")
 APPEND_STATE_RE = re.compile(r"\bAppendState\s*\(")
 
+# The serving engine outside src/market/ that the market-* rules also cover.
+MARKET_ENGINE_FILES = ("src/platform/shared_market.h",
+                       "src/platform/shared_market.cc")
+
 RULES = {
     "nondeterminism": "no wall-clock/ambient-random sources in src/",
     "unordered-iter": "no iteration over unordered containers "
                       "(implementation-defined order)",
-    "market-obs": "no HTUNE_OBS_* macros in src/market/ "
+    "market-obs": "no HTUNE_OBS_* macros in the market engines "
                   "(replay double-count hazard)",
-    "market-node-map": "no node-based std::map/std::set in src/market/ "
-                       "(per-node allocation in the event engine; use "
-                       "TaskStore/flat arrays)",
+    "market-node-map": "no node-based std::map/std::set in the market "
+                       "engines (per-node allocation in the event loop; "
+                       "use TaskStore/flat arrays)",
     "raw-mutex": "no raw std synchronization outside common/mutex.h "
                  "(invisible to -Wthread-safety)",
     "raw-retry": "no hand-rolled retry loops or sleeps outside "
@@ -281,11 +289,11 @@ def lint_text(text, virtual_path):
                     "state must change through the supervisor so the "
                     "manifest and gauges stay consistent")
 
-    if path.startswith("src/market/"):
+    if path.startswith("src/market/") or path in MARKET_ENGINE_FILES:
         for idx, line in enumerate(code):
             if OBS_MACRO_RE.search(line):
                 add(idx, "market-obs",
-                    "observability macros in the simulator double-count "
+                    "observability macros in a market engine double-count "
                     "under crash-recovery replay; publish via "
                     "control/market_metrics.h")
             if NODE_MAP_RE.search(line):
