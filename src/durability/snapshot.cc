@@ -10,6 +10,12 @@ namespace htune {
 
 namespace {
 
+/// Header magic: the IEEE-754 bit pattern of a quiet NaN spelling "HTSV2"
+/// in its payload, so no body (which opens with the finite clock `now`)
+/// can pass for a header.
+constexpr uint64_t kSnapshotMagic = 0xFFF7485453563200ULL;
+constexpr uint32_t kSnapshotVersion = 2;
+
 void EncodeRepetition(const RepetitionOutcome& rep, Encoder& encoder) {
   encoder.PutDouble(rep.posted_time);
   encoder.PutDouble(rep.accepted_time);
@@ -157,16 +163,10 @@ Status DecodeTraceEvents(Decoder& decoder, std::vector<TraceEvent>& events) {
       events);
 }
 
-namespace {
-
-/// v2 header magic: the IEEE-754 bit pattern of a quiet NaN spelling
-/// "HTSV2" in its payload. A v1 snapshot starts with PutDouble(now), and
-/// `now` is a finite simulation time, so no valid v1 blob can begin with
-/// these 8 bytes — which is what lets the decoder sniff the version.
-constexpr uint64_t kSnapshotMagic = 0xFFF7485453563200ULL;
-constexpr uint32_t kSnapshotVersion = 2;
-
-void EncodeMarketStateBody(const MarketState& state, Encoder& encoder) {
+std::string EncodeMarketState(const MarketState& state) {
+  Encoder encoder;
+  encoder.PutU64(kSnapshotMagic);
+  encoder.PutU32(kSnapshotVersion);
   PutFields(encoder, state.now, state.next_arrival_time, state.next_worker,
             state.next_task, state.event_sequence,
             int64_t{state.total_spent});
@@ -186,9 +186,22 @@ void EncodeMarketStateBody(const MarketState& state, Encoder& encoder) {
   encoder.PutU64(state.completion_order.size());
   for (TaskId id : state.completion_order) encoder.PutU64(id);
   EncodeTraceEvents(state.trace, encoder);
+  return std::move(encoder).Release();
 }
 
-Status DecodeMarketStateBody(Decoder& decoder, MarketState& state) {
+StatusOr<MarketState> DecodeMarketState(std::string_view bytes) {
+  Decoder decoder(bytes);
+  uint64_t magic = 0;
+  uint32_t version = 0;
+  if (!decoder.GetU64(&magic).ok() || magic != kSnapshotMagic) {
+    return InvalidArgumentError("decode: market snapshot has no v2 header");
+  }
+  HTUNE_RETURN_IF_ERROR(decoder.GetU32(&version));
+  if (version != kSnapshotVersion) {
+    return InvalidArgumentError("decode: unsupported snapshot version " +
+                                std::to_string(version));
+  }
+  MarketState state;
   int64_t total_spent = 0;
   HTUNE_RETURN_IF_ERROR(GetFields(decoder, state.now, state.next_arrival_time,
                                   state.next_worker, state.next_task,
@@ -207,36 +220,7 @@ Status DecodeMarketStateBody(Decoder& decoder, MarketState& state) {
       [](Decoder& d, TaskId& id) -> Status { return d.GetU64(&id); },
       state.completion_order));
   HTUNE_RETURN_IF_ERROR(DecodeTraceEvents(decoder, state.trace));
-  return decoder.ExpectDone();
-}
-
-}  // namespace
-
-std::string EncodeMarketState(const MarketState& state) {
-  Encoder encoder;
-  encoder.PutU64(kSnapshotMagic);
-  encoder.PutU32(kSnapshotVersion);
-  EncodeMarketStateBody(state, encoder);
-  return std::move(encoder).Release();
-}
-
-StatusOr<MarketState> DecodeMarketState(std::string_view bytes) {
-  MarketState state;
-  Decoder sniff(bytes);
-  uint64_t first_word = 0;
-  if (sniff.GetU64(&first_word).ok() && first_word == kSnapshotMagic) {
-    uint32_t version = 0;
-    HTUNE_RETURN_IF_ERROR(sniff.GetU32(&version));
-    if (version != kSnapshotVersion) {
-      return InvalidArgumentError("decode: unsupported snapshot version " +
-                                  std::to_string(version));
-    }
-    HTUNE_RETURN_IF_ERROR(DecodeMarketStateBody(sniff, state));
-    return state;
-  }
-  // No magic: a v1 blob, which starts directly with the `now` field.
-  Decoder decoder(bytes);
-  HTUNE_RETURN_IF_ERROR(DecodeMarketStateBody(decoder, state));
+  HTUNE_RETURN_IF_ERROR(decoder.ExpectDone());
   return state;
 }
 

@@ -15,17 +15,16 @@ namespace htune {
 /// stored as IEEE-754 bit patterns, making a decode(encode(s)) round trip
 /// exact.
 ///
-/// Writes format v2: an 8-byte magic (a NaN bit pattern no valid v1
-/// snapshot can start with), a u32 version, then the state fields with the
-/// pending events in canonical (time, sequence) order. Version 1 — the
-/// original headerless format whose event section stored the binary heap's
-/// backing array verbatim — is still decoded transparently.
+/// Writes format v2: an 8-byte magic (a NaN bit pattern), a u32 version,
+/// then the state fields, with the pending events in canonical (time,
+/// sequence) order and the completed outcomes in completion order.
 std::string EncodeMarketState(const MarketState& state);
 
-/// Inverse of EncodeMarketState; accepts v1 and v2 bytes (sniffed via the
-/// v2 magic). Returns InvalidArgument on truncated or structurally corrupt
-/// input (never crashes on hostile bytes); semantic validation beyond shape
-/// (id-space consistency, curve indices) happens in
+/// Inverse of EncodeMarketState; reads v2 only. Returns InvalidArgument on
+/// a missing header (the pre-v2 headerless format included), an unknown
+/// version, or truncated or structurally corrupt input (never crashes on
+/// hostile bytes); semantic validation beyond shape (id-space consistency,
+/// completion order, curve indices) happens in
 /// MarketSimulator::RestoreState.
 StatusOr<MarketState> DecodeMarketState(std::string_view bytes);
 

@@ -1,6 +1,5 @@
 #include "market/simulator.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -254,18 +253,9 @@ void MarketSimulator::StepWorkerArrival() {
     const TaskId id = ids[i];
     SimulatorTask& task = tasks_.on_hold_task(i);
     accepted_positions_.push_back(static_cast<uint32_t>(i));
-    task.awaiting_acceptance = false;
-    const size_t rep_slot = task.outcome.repetitions.size();
-    RepetitionOutcome rep;
-    rep.posted_time = task.current_posted_time;
-    rep.accepted_time = now_;
-    rep.worker = worker;
-    rep.price = task.rep_prices[rep_slot];
     // The answer is decided by the accepting worker; it is revealed (and
     // recorded) when processing finishes.
-    DrawAnswer(rng_, worker_error, task, rep);
-    task.outcome.repetitions.push_back(rep);
-    const int rep_index = static_cast<int>(task.outcome.repetitions.size());
+    const int rep_index = task.Accept(now_, worker, rng_, worker_error);
     Record({now_, TraceEventKind::kTaskAccepted, worker, id, rep_index});
 
     // Decide at acceptance whether this worker will answer or abandon (the
@@ -289,19 +279,6 @@ void MarketSimulator::StepWorkerArrival() {
   if (!accepted_positions_.empty()) {
     tasks_.RemoveOnHoldPositions(accepted_positions_);
   }
-}
-
-void MarketSimulator::AdvanceTask(TaskId id, SimulatorTask& task, double t) {
-  const size_t reps = task.rep_prices.size();
-  if (task.outcome.repetitions.size() >= reps) {
-    task.outcome.completed_time = t;
-    Record({t, TraceEventKind::kTaskCompleted, 0, id, static_cast<int>(reps)});
-    tasks_.Complete(id);
-    return;
-  }
-  // Expose the next repetition: sequential submission (§4.3).
-  ExposeCurrentRepetition(id, task, t, /*reposted=*/false,
-                          /*already_on_hold=*/false);
 }
 
 void MarketSimulator::ApplyEvent(const MarketEvent& event) {
@@ -355,13 +332,18 @@ void MarketSimulator::ApplyEvent(const MarketEvent& event) {
   }
 
   ++event_counts_.completions;
-  RepetitionOutcome& rep = task.outcome.repetitions.back();
-  rep.completed_time = now_;
-  total_spent_ += task.rep_prices[task.outcome.repetitions.size() - 1];
+  total_spent_ += task.FinishRepetition(now_);
   const int rep_index = static_cast<int>(task.outcome.repetitions.size());
-  Record({now_, TraceEventKind::kRepetitionCompleted, rep.worker,
-          event.task, rep_index});
-  AdvanceTask(event.task, task, now_);
+  Record({now_, TraceEventKind::kRepetitionCompleted,
+          task.outcome.repetitions.back().worker, event.task, rep_index});
+  if (task.AllAccepted()) {
+    Record({now_, TraceEventKind::kTaskCompleted, 0, event.task, rep_index});
+    tasks_.Complete(event.task);
+    return;
+  }
+  // Expose the next repetition: sequential submission (§4.3).
+  ExposeCurrentRepetition(event.task, task, now_, /*reposted=*/false,
+                          /*already_on_hold=*/false);
 }
 
 Status MarketSimulator::Reprice(TaskId id, int new_price,
@@ -369,13 +351,8 @@ Status MarketSimulator::Reprice(TaskId id, int new_price,
   if (new_price < 1) {
     return InvalidArgumentError("Reprice: price must be >= 1");
   }
-  SimulatorTask* found = tasks_.FindOpen(id);
-  if (found == nullptr) {
-    if (tasks_.FindCompleted(id) != nullptr) {
-      return FailedPreconditionError("Reprice: task already completed");
-    }
-    return NotFoundError("Reprice: unknown task id");
-  }
+  HTUNE_ASSIGN_OR_RETURN(SimulatorTask* const found,
+                         tasks_.GetOpen(id, "Reprice"));
   SimulatorTask& task = *found;
   double rate = new_on_hold_rate;
   if (task.effective_curve != nullptr) {
@@ -474,13 +451,8 @@ StatusOr<const TaskOutcome*> MarketSimulator::GetOutcomeView(
 }
 
 StatusOr<double> MarketSimulator::OnHoldSince(TaskId id) const {
-  const OpenTask* open = tasks_.FindOpen(id);
-  if (open == nullptr) {
-    if (tasks_.FindCompleted(id) != nullptr) {
-      return FailedPreconditionError("OnHoldSince: task already completed");
-    }
-    return NotFoundError("OnHoldSince: unknown task id");
-  }
+  HTUNE_ASSIGN_OR_RETURN(const SimulatorTask* const open,
+                         tasks_.GetOpen(id, "OnHoldSince"));
   if (!open->awaiting_acceptance) {
     return FailedPreconditionError(
         "OnHoldSince: current repetition is being processed");
@@ -489,14 +461,9 @@ StatusOr<double> MarketSimulator::OnHoldSince(TaskId id) const {
 }
 
 StatusOr<int> MarketSimulator::CurrentPrice(TaskId id) const {
-  const OpenTask* open = tasks_.FindOpen(id);
-  if (open == nullptr) {
-    if (tasks_.FindCompleted(id) != nullptr) {
-      return FailedPreconditionError("CurrentPrice: task already completed");
-    }
-    return NotFoundError("CurrentPrice: unknown task id");
-  }
-  return open->rep_prices[open->CurrentSlot()];
+  HTUNE_ASSIGN_OR_RETURN(const SimulatorTask* const open,
+                         tasks_.GetOpen(id, "CurrentPrice"));
+  return open->CurrentPrice();
 }
 
 StatusOr<TaskOutcome> MarketSimulator::GetProgress(TaskId id) const {
@@ -653,24 +620,14 @@ Status MarketSimulator::RestoreState(
   }
   TaskStore<SimulatorTask> store;
   store.PrepareForRestore(state.next_task);
-  size_t processing = 0;
+  RestoreAudit audit("RestoreState");
   for (const MarketState::Task& t : state.open_tasks) {
     const size_t reps = static_cast<size_t>(t.repetitions);
     if (t.repetitions < 1 || t.rep_prices.size() != reps ||
-        t.rep_rates.size() != reps ||
-        t.outcome.repetitions.size() > reps) {
+        t.rep_rates.size() != reps) {
       return InvalidArgumentError(
           "RestoreState: task repetition shape is inconsistent");
     }
-    // An open task has a current slot: an exposed repetition left while on
-    // hold (else the next arrival indexes rep_rates out of bounds), an
-    // accepted one while processing.
-    if (t.awaiting_acceptance ? t.outcome.repetitions.size() == reps
-                              : t.outcome.repetitions.empty()) {
-      return InvalidArgumentError(
-          "RestoreState: open task has no current repetition");
-    }
-    processing += t.awaiting_acceptance ? 0 : 1;
     SimulatorTask* task = store.InsertForRestore(t.id);
     if (task == nullptr) {
       return InvalidArgumentError("RestoreState: duplicate open task id");
@@ -697,73 +654,38 @@ Status MarketSimulator::RestoreState(
     task->exposure_generation = t.exposure_generation;
     task->reprice_price = t.reprice_price;
     task->reprice_rate = t.reprice_rate;
+    HTUNE_RETURN_IF_ERROR(audit.AddTask(*task));
   }
+  // Completed outcomes come in completion order, as CaptureState writes
+  // them.
   if (state.completion_order.size() != state.completed.size()) {
     return InvalidArgumentError(
         "RestoreState: completion order does not match completed set");
   }
-  // Index the completed outcomes by id, then append them in completion
-  // order (snapshots may hold them in any permutation: v2 writes completion
-  // order, v1 wrote id order).
-  std::vector<int64_t> outcome_at(static_cast<size_t>(state.next_task - 1),
-                                  -1);
   for (size_t i = 0; i < state.completed.size(); ++i) {
-    const TaskId id = state.completed[i].id;
-    if (id < 1 || id >= state.next_task) {
+    if (state.completion_order[i] != state.completed[i].id ||
+        !store.AddCompletedForRestore(state.completed[i])) {
       return InvalidArgumentError(
-          "RestoreState: completed task id outside the id space");
-    }
-    if (outcome_at[static_cast<size_t>(id - 1)] != -1) {
-      return InvalidArgumentError("RestoreState: duplicate completed id");
-    }
-    outcome_at[static_cast<size_t>(id - 1)] = static_cast<int64_t>(i);
-  }
-  for (const TaskId id : state.completion_order) {
-    const int64_t at =
-        id >= 1 && id < state.next_task
-            ? outcome_at[static_cast<size_t>(id - 1)]
-            : -1;
-    if (at < 0) {
-      return InvalidArgumentError(
-          "RestoreState: completion order names an unknown task");
-    }
-    outcome_at[static_cast<size_t>(id - 1)] = -1;  // consume (rejects dups)
-    if (!store.AddCompletedForRestore(
-            state.completed[static_cast<size_t>(at)])) {
-      return InvalidArgumentError("RestoreState: duplicate completed id");
+          "RestoreState: completed outcomes must be distinct posted tasks "
+          "in completion order");
     }
   }
-  // Every completion or abandon settles the in-flight repetition of a
-  // processing task, and each processing task has exactly one; an expiry
-  // may be stale (ApplyEvent skips it).
+  // A completion or abandon settles a processing task's in-flight
+  // repetition; an expiry may be stale (ApplyEvent skips it).
   std::vector<MarketEvent> events;
   events.reserve(state.events.size());
-  std::vector<TaskId> in_flight;
   for (const MarketState::Event& event : state.events) {
     const auto kind = static_cast<MarketEvent::Kind>(event.kind);
     if (event.kind > static_cast<uint8_t>(MarketEvent::Kind::kExpiry)) {
       return InvalidArgumentError("RestoreState: unknown event kind");
     }
     if (kind != MarketEvent::Kind::kExpiry) {
-      const SimulatorTask* task = store.FindOpen(event.task);
-      if (task == nullptr || task->awaiting_acceptance) {
-        return InvalidArgumentError(
-            "RestoreState: completion or abandon event names no processing "
-            "task");
-      }
-      in_flight.push_back(event.task);
+      HTUNE_RETURN_IF_ERROR(audit.AddSettle(store.FindOpen(event.task)));
     }
     events.push_back({event.time, event.sequence, event.task, kind,
                       event.generation});
   }
-  std::sort(in_flight.begin(), in_flight.end());
-  if (in_flight.size() != processing ||
-      std::adjacent_find(in_flight.begin(), in_flight.end()) !=
-          in_flight.end()) {
-    return InvalidArgumentError(
-        "RestoreState: a processing task needs exactly one pending "
-        "completion or abandon event");
-  }
+  HTUNE_RETURN_IF_ERROR(audit.Finish());
 
   now_ = state.now;
   next_arrival_time_ = state.next_arrival_time;

@@ -145,11 +145,9 @@ struct MarketState {
   static constexpr int32_t kCurveTableBase = 2;  ///< table[i] at 2 + i
 
   /// Mirror of MarketEvent. CaptureState emits events in the canonical
-  /// (time, sequence) order — the snapshot-v2 wire order. RestoreState
-  /// accepts any permutation: the event queue's pop order depends only on
-  /// the set of events, not on their submission order (historical v1
-  /// snapshots stored the binary heap's backing array verbatim, which is
-  /// just such a permutation).
+  /// (time, sequence) order, the snapshot wire order. RestoreState accepts
+  /// any permutation: the event queue's pop order depends only on the set
+  /// of events, not on their submission order.
   struct Event {
     double time = 0.0;
     uint64_t sequence = 0;
@@ -197,10 +195,9 @@ struct MarketState {
   Random::State rng;
   std::vector<Event> events;
   std::vector<Task> open_tasks;
-  /// Completed outcomes keyed by TaskOutcome::id. CaptureState emits them
-  /// in completion order (matching `completion_order`); v1 snapshots hold
-  /// them in id order. RestoreState accepts any permutation consistent
-  /// with `completion_order`.
+  /// Completed outcomes in completion order, which RestoreState requires.
+  /// `completion_order` repeats their ids in the same order; it keeps its
+  /// place in the frozen layout, and restore requires it to match.
   std::vector<TaskOutcome> completed;
   std::vector<TaskId> completion_order;
   std::vector<TraceEvent> trace;
@@ -296,8 +293,10 @@ class MarketSimulator {
   /// NotFound for unknown ids. Controllers use this to spot stragglers.
   StatusOr<double> OnHoldSince(TaskId id) const;
 
-  /// Payment the currently exposed (or in-flight) repetition of `id`
-  /// promises. FailedPrecondition for completed tasks, NotFound otherwise.
+  /// Payment the current repetition of `id` promises
+  /// (OpenTask::CurrentPrice): the exposed one's price while on hold, else
+  /// the price the in-flight repetition was accepted at.
+  /// FailedPrecondition for completed tasks, NotFound otherwise.
   StatusOr<int> CurrentPrice(TaskId id) const;
 
   /// Outcomes of all completed tasks, in completion order. The reference
@@ -355,8 +354,6 @@ class MarketSimulator {
   void StepWorkerArrival();
   /// Applies the event at the head of the event queue.
   void ApplyEvent(const MarketEvent& event);
-  /// Exposes the next repetition of `task` (or finalizes it) at time `t`.
-  void AdvanceTask(TaskId id, SimulatorTask& task, double t);
   /// Puts the current repetition of `task` (back) on hold at time `t`,
   /// arming the acceptance-timeout clock. `reposted` records a kReposted
   /// trace event (abandonment / expiry recovery). `already_on_hold` is set

@@ -52,11 +52,14 @@ struct TaskSpec {
 
 /// The engine-neutral record of a posted task while it is open: what both
 /// market engines read after PostTask (the paper's task of §3.1/§4.3: its
-/// per-repetition prices, processing rate, answer and outcome). Owned by a
-/// TaskStore in a recycled slot; ResetForReuse clears a previous tenant
-/// field by field so the slot's vector capacity survives recycling. An
-/// engine that needs more per task derives its own slot type (the single-job
-/// engine's SimulatorTask in market/simulator.h).
+/// per-repetition prices, processing rate, answer and outcome), and the
+/// repetition lifecycle both engines run on it: Accept, then
+/// FinishRepetition, then the engine exposes the next repetition or
+/// completes the task. Owned by a TaskStore in a recycled slot;
+/// ResetForReuse clears a previous tenant field by field so the slot's
+/// vector capacity survives recycling. An engine that needs more per task
+/// derives its own slot type (the single-job engine's SimulatorTask in
+/// market/simulator.h).
 struct OpenTask {
   /// Payment of each repetition, one entry per repetition; its size is the
   /// task's repetition count.
@@ -74,10 +77,41 @@ struct OpenTask {
 
   /// The repetition the task is working on: the exposed one while on hold,
   /// else the in-flight one, which is the last accepted (both engines'
-  /// restores refuse a processing task without one).
+  /// restores refuse a processing task without one; see RestoreAudit).
   size_t CurrentSlot() const {
     const size_t accepted = outcome.repetitions.size();
     return awaiting_acceptance ? accepted : accepted - 1;
+  }
+
+  /// True once every repetition has been accepted.
+  bool AllAccepted() const {
+    return outcome.repetitions.size() == rep_prices.size();
+  }
+
+  /// The price the current repetition pays: the exposed slot's while on
+  /// hold, else the one the in-flight repetition was accepted at (a
+  /// reprice never changes an accepted repetition's terms).
+  int CurrentPrice() const {
+    return awaiting_acceptance ? rep_prices[outcome.repetitions.size()]
+                               : outcome.repetitions.back().price;
+  }
+
+  /// `worker` accepts the exposed repetition at `now` (§3.1.2): its terms
+  /// are the exposed slot's, its answer is drawn now by DrawAnswer, and the
+  /// task leaves hold. Returns the 1-based repetition index.
+  int Accept(double now, WorkerId worker, Random& rng, double error_prob);
+
+  /// The in-flight repetition's answer returns at `now` (§3.2): stamps its
+  /// completion, and the task's once it was the last repetition. Returns
+  /// the price it pays. The engine then completes the task (AllAccepted)
+  /// or exposes the next repetition (§4.3).
+  int FinishRepetition(double now) {
+    RepetitionOutcome& rep = outcome.repetitions.back();
+    rep.completed_time = now;
+    if (AllAccepted()) {
+      outcome.completed_time = now;
+    }
+    return rep.price;
   }
 
   void ResetForReuse() {
@@ -112,6 +146,19 @@ inline void DrawAnswer(Random& rng, double error_prob, const OpenTask& task,
     rep.answer = task.true_answer;
     rep.correct = true;
   }
+}
+
+inline int OpenTask::Accept(double now, WorkerId worker, Random& rng,
+                            double error_prob) {
+  RepetitionOutcome rep;
+  rep.posted_time = current_posted_time;
+  rep.accepted_time = now;
+  rep.worker = worker;
+  rep.price = rep_prices[outcome.repetitions.size()];
+  DrawAnswer(rng, error_prob, *this, rep);
+  outcome.repetitions.push_back(rep);
+  awaiting_acceptance = false;
+  return static_cast<int>(outcome.repetitions.size());
 }
 
 }  // namespace htune

@@ -4,11 +4,15 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/statusor.h"
 #include "market/events.h"
 #include "market/task.h"
 
@@ -80,6 +84,21 @@ class TaskStore {
   const Slot* FindOpen(TaskId id) const {
     const int64_t entry = IndexEntry(id);
     return entry >= 0 ? &slots_[static_cast<size_t>(entry)] : nullptr;
+  }
+
+  /// The open task with `id`, for the API call `caller` names: NotFound
+  /// when `id` was never posted, FailedPrecondition when it completed.
+  /// Both engines' Reprice, OnHoldSince and CurrentPrice look tasks up
+  /// here, so they agree on both codes.
+  StatusOr<Slot*> GetOpen(TaskId id, std::string_view caller) {
+    Slot* task = FindOpen(id);
+    if (task == nullptr) return NotOpenError(id, caller);
+    return task;
+  }
+  StatusOr<const Slot*> GetOpen(TaskId id, std::string_view caller) const {
+    const Slot* task = FindOpen(id);
+    if (task == nullptr) return NotOpenError(id, caller);
+    return task;
   }
 
   /// The completed outcome for `id`, or nullptr when unknown or open.
@@ -233,6 +252,14 @@ class TaskStore {
   }
 
  private:
+  Status NotOpenError(TaskId id, std::string_view caller) const {
+    const std::string prefix = std::string(caller) + ": ";
+    if (FindCompleted(id) != nullptr) {
+      return FailedPreconditionError(prefix + "task " + std::to_string(id) +
+                                     " already completed");
+    }
+    return NotFoundError(prefix + "unknown task " + std::to_string(id));
+  }
   int64_t IndexEntry(TaskId id) const {
     const uint64_t pos = id - 1;
     return id >= 1 && pos < id_index_.size() ? id_index_[pos] : -1;
@@ -256,6 +283,53 @@ class TaskStore {
   std::vector<uint32_t> hold_slots_;
   std::vector<double> hold_probs_;
   size_t saturated_count_ = 0;
+};
+
+/// The restore contract both market engines check before a snapshot goes
+/// live: every open task has a current slot (OpenTask::CurrentSlot names a
+/// repetition: one left to expose while on hold, an accepted one while
+/// processing), and every processing task has exactly one pending settle
+/// event, the event that ends its in-flight repetition (a completion, or
+/// in the single-job engine an abandon). RunUntil relies on both. Each
+/// engine decides which of its events settle a repetition. Feed every
+/// restored open task to AddTask, then each settle event's task (nullptr
+/// when it names no open task, and unmoved until Finish) to AddSettle,
+/// then call Finish.
+class RestoreAudit {
+ public:
+  /// `engine` prefixes every error message.
+  explicit RestoreAudit(std::string_view engine) : engine_(engine) {}
+
+  Status AddTask(const OpenTask& task) {
+    const size_t accepted = task.outcome.repetitions.size();
+    const size_t reps = task.rep_prices.size();
+    processing_ += task.awaiting_acceptance ? 0 : 1;
+    return Check(task.awaiting_acceptance ? accepted < reps
+                                          : accepted > 0 && accepted <= reps,
+                 "open task has no current repetition");
+  }
+  Status AddSettle(const OpenTask* task) {
+    settled_.push_back(task);
+    return Check(task != nullptr && !task->awaiting_acceptance,
+                 "pending settle event names no processing task");
+  }
+  Status Finish() {
+    std::sort(settled_.begin(), settled_.end(), std::less<>());
+    return Check(settled_.size() == processing_ &&
+                     std::adjacent_find(settled_.begin(), settled_.end()) ==
+                         settled_.end(),
+                 "a processing task needs exactly one pending settle event");
+  }
+
+ private:
+  Status Check(bool holds, std::string_view what) const {
+    return holds ? OkStatus()
+                 : InvalidArgumentError(engine_ + ": " + std::string(what));
+  }
+
+  std::string engine_;
+  size_t processing_ = 0;
+  std::vector<const OpenTask*> settled_;
 };
 
 }  // namespace htune

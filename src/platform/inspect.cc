@@ -106,9 +106,9 @@ std::string TraceTally(const std::vector<TraceEvent>& trace) {
   return Tally(counts, TraceEventKindToString);
 }
 
-/// A market-state snapshot blob's summary: v2 when the current encoder
-/// reproduces the blob, else the headerless v1. Pending events are tallied
-/// by their MarketEvent::Kind value, trace events by kind name.
+/// A market-state snapshot blob's summary (DecodeMarketState reads v2
+/// only). Pending events are tallied by their MarketEvent::Kind value,
+/// trace events by kind name.
 StatusOr<std::string> DescribeMarketState(std::string_view blob) {
   HTUNE_ASSIGN_OR_RETURN(const MarketState state, DecodeMarketState(blob));
   std::map<int, int> queue;
@@ -116,11 +116,10 @@ StatusOr<std::string> DescribeMarketState(std::string_view blob) {
     ++queue[event.kind];
   }
   return Format(
-      "v%d now=%.6f tasks_created=%" PRIu64 " events_seen=%" PRIu64
+      "v2 now=%.6f tasks_created=%" PRIu64 " events_seen=%" PRIu64
       " spent=%ld open=%zu completed=%zu queue=%s trace=%s",
-      EncodeMarketState(state) == blob ? 2 : 1, state.now, state.next_task,
-      state.event_sequence, state.total_spent, state.open_tasks.size(),
-      state.completed.size(),
+      state.now, state.next_task, state.event_sequence, state.total_spent,
+      state.open_tasks.size(), state.completed.size(),
       Tally(queue, [](int kind) { return "kind" + std::to_string(kind); })
           .c_str(),
       TraceTally(state.trace).c_str());

@@ -254,18 +254,13 @@ Status SharedMarket::Reprice(uint64_t job_id, TaskId task_id, int new_price) {
     return InvalidArgumentError("SharedMarket: reprice below 1 unit");
   }
   HTUNE_RETURN_IF_ERROR(CheckRepPrice(*config_.curve, new_price));
-  OpenTask* task = job->tasks.FindOpen(task_id);
-  if (task == nullptr) {
-    if (job->tasks.FindCompleted(task_id) != nullptr) {
-      return FailedPreconditionError("SharedMarket: task " +
-                                     std::to_string(task_id) +
-                                     " already completed");
-    }
-    return NotFoundError("SharedMarket: unknown task " +
-                         std::to_string(task_id));
-  }
-  // The accepted (in-flight) repetition keeps its original terms; the
-  // current exposure and everything after it re-post at the new price.
+  HTUNE_ASSIGN_OR_RETURN(OpenTask* const task,
+                         job->tasks.GetOpen(task_id, "SharedMarket"));
+  // The current exposure and everything after it re-post at the new
+  // price. An accepted (in-flight) repetition keeps its terms: it pays, and
+  // CurrentPrice reports, its accepted price. Starting at CurrentSlot still
+  // rewrites its rep_prices entry, which nothing reads again; snapshots
+  // (and so the pinned transcripts) carry those bytes, so the range stays.
   for (size_t i = task->CurrentSlot(); i < task->rep_prices.size(); ++i) {
     task->rep_prices[i] = new_price;
   }
@@ -343,19 +338,12 @@ void SharedMarket::StepArrival() {
   // the job's private stream (DrawAnswer's draws, then the processing
   // Exponential — a fixed draw order).
   OpenTask& task = *job.tasks.FindOpen(selected);
-  const size_t slot = task.CurrentSlot();
-  RepetitionOutcome rep;
-  rep.posted_time = task.current_posted_time;
-  rep.accepted_time = now_;
-  rep.worker = draw.worker;
-  rep.price = task.rep_prices[slot];
-  DrawAnswer(job.rng, config_.worker_error_prob, task, rep);
-  task.outcome.repetitions.push_back(rep);
-  task.awaiting_acceptance = false;
+  const int rep_index =
+      task.Accept(now_, draw.worker, job.rng, config_.worker_error_prob);
   job.SetHold(selected, 0);
   ++counts_.acceptances;
   Record(job, {now_, TraceEventKind::kTaskAccepted, draw.worker, selected,
-               static_cast<int>(slot) + 1});
+               rep_index});
 
   const double processing = job.rng.Exponential(task.processing_rate);
   queue_.Push({now_ + processing, event_sequence_++, selected,
@@ -370,15 +358,13 @@ void SharedMarket::ApplyCompletion(const MarketEvent& event) {
   OpenTask* task = job->tasks.FindOpen(event.task);
   HTUNE_CHECK(task != nullptr);
 
-  RepetitionOutcome& rep = task->outcome.repetitions.back();
-  rep.completed_time = now_;
-  job->spent += rep.price;
+  job->spent += task->FinishRepetition(now_);
   const int rep_index = static_cast<int>(task->outcome.repetitions.size());
-  Record(*job, {now_, TraceEventKind::kRepetitionCompleted, rep.worker,
-                event.task, rep_index});
+  Record(*job, {now_, TraceEventKind::kRepetitionCompleted,
+                task->outcome.repetitions.back().worker, event.task,
+                rep_index});
 
-  if (task->outcome.repetitions.size() == task->rep_prices.size()) {
-    task->outcome.completed_time = now_;
+  if (task->AllAccepted()) {
     Record(*job, {now_, TraceEventKind::kTaskCompleted, 0, event.task,
                   rep_index});
     // The task's hold is already 0 (processing) and stays 0.
@@ -387,8 +373,7 @@ void SharedMarket::ApplyCompletion(const MarketEvent& event) {
   } else {
     task->awaiting_acceptance = true;
     task->current_posted_time = now_;
-    job->SetHold(event.task,
-                 WeightUnits(task->rep_prices[task->CurrentSlot()]));
+    job->SetHold(event.task, WeightUnits(task->CurrentPrice()));
   }
 }
 
@@ -476,11 +461,8 @@ StatusOr<double> SharedMarket::OnHoldSince(uint64_t job_id,
     return NotFoundError("SharedMarket: unknown job " +
                          std::to_string(job_id));
   }
-  const OpenTask* task = job->tasks.FindOpen(task_id);
-  if (task == nullptr) {
-    return NotFoundError("SharedMarket: unknown or completed task " +
-                         std::to_string(task_id));
-  }
+  HTUNE_ASSIGN_OR_RETURN(const OpenTask* const task,
+                         job->tasks.GetOpen(task_id, "SharedMarket"));
   if (!task->awaiting_acceptance) {
     return FailedPreconditionError(
         "SharedMarket: task " + std::to_string(task_id) +
@@ -496,13 +478,9 @@ StatusOr<int> SharedMarket::CurrentPrice(uint64_t job_id,
     return NotFoundError("SharedMarket: unknown job " +
                          std::to_string(job_id));
   }
-  const OpenTask* task = job->tasks.FindOpen(task_id);
-  if (task == nullptr) {
-    return FailedPreconditionError("SharedMarket: task " +
-                                   std::to_string(task_id) +
-                                   " completed or unknown");
-  }
-  return task->rep_prices[task->CurrentSlot()];
+  HTUNE_ASSIGN_OR_RETURN(const OpenTask* const task,
+                         job->tasks.GetOpen(task_id, "SharedMarket"));
+  return task->CurrentPrice();
 }
 
 std::string SharedMarket::CaptureState() const {
@@ -582,7 +560,7 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
   std::vector<SharedJob> jobs;
   jobs.reserve(static_cast<size_t>(job_count));
   size_t open_tasks = 0;
-  size_t processing = 0;
+  RestoreAudit audit("SharedMarket");
   for (uint64_t i = 0; i < job_count; ++i) {
     uint64_t job_id = 0;
     HTUNE_RETURN_IF_ERROR(d.GetU64(&job_id));
@@ -632,23 +610,14 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
           task->num_options, task->awaiting_acceptance,
           task->current_posted_time));
       HTUNE_RETURN_IF_ERROR(DecodeTaskOutcome(d, task->outcome));
-      // An open task has a current slot: an exposed repetition left while
-      // on hold, an accepted one while processing.
-      const size_t accepted = task->outcome.repetitions.size();
-      if (accepted > task->rep_prices.size() ||
-          (task->awaiting_acceptance ? accepted == task->rep_prices.size()
-                                     : accepted == 0)) {
-        return InvalidArgumentError(
-            "SharedMarket: snapshot task shape invalid");
-      }
-      processing += task->awaiting_acceptance ? 0 : 1;
+      HTUNE_RETURN_IF_ERROR(audit.AddTask(*task));
       for (const int price : task->rep_prices) {
         HTUNE_RETURN_IF_ERROR(CheckRepPrice(*config_.curve, price));
       }
       // The hold units are derived state: recompute from the curve, the
       // same call a continuously-running engine made at the last change.
       if (task->awaiting_acceptance) {
-        job.hold[id - 1] = WeightUnits(task->rep_prices[task->CurrentSlot()]);
+        job.hold[id - 1] = WeightUnits(task->CurrentPrice());
       }
     }
     open_tasks += job.tasks.open_count();
@@ -673,37 +642,24 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
   }
   HTUNE_RETURN_IF_ERROR(d.ExpectDone());
 
-  // Every pending event is the completion of a processing task of a job in
-  // the snapshot (its generation carries the job id), one per such task.
+  // Every pending event is a completion, the settle event of a processing
+  // task of a job in the snapshot (its generation carries the job id).
   std::vector<MarketEvent> pending;
   pending.reserve(events.size());
-  std::vector<std::pair<uint64_t, TaskId>> in_flight;
   for (const MarketState::Event& event : events) {
     const auto job = std::lower_bound(
         jobs.begin(), jobs.end(), event.generation,
         [](const SharedJob& j, uint64_t id) { return j.id < id; });
-    const OpenTask* task =
-        job != jobs.end() && job->id == event.generation
+    const bool completion =
+        event.kind == static_cast<uint8_t>(MarketEvent::Kind::kCompletion);
+    HTUNE_RETURN_IF_ERROR(audit.AddSettle(
+        completion && job != jobs.end() && job->id == event.generation
             ? job->tasks.FindOpen(event.task)
-            : nullptr;
-    if (event.kind != static_cast<uint8_t>(MarketEvent::Kind::kCompletion) ||
-        task == nullptr || task->awaiting_acceptance) {
-      return InvalidArgumentError(
-          "SharedMarket: snapshot event is not the completion of a "
-          "processing task");
-    }
-    in_flight.emplace_back(event.generation, event.task);
+            : nullptr));
     pending.push_back({event.time, event.sequence, event.task,
                        MarketEvent::Kind::kCompletion, event.generation});
   }
-  std::sort(in_flight.begin(), in_flight.end());
-  if (in_flight.size() != processing ||
-      std::adjacent_find(in_flight.begin(), in_flight.end()) !=
-          in_flight.end()) {
-    return InvalidArgumentError(
-        "SharedMarket: a processing task needs exactly one pending "
-        "completion");
-  }
+  HTUNE_RETURN_IF_ERROR(audit.Finish());
 
   stream_.RestoreState(stream);
   now_ = restored_now;

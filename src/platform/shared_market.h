@@ -120,8 +120,9 @@ class SharedMarket {
                             double processing_rate, int true_answer = 0,
                             int num_options = 2);
 
-  /// Changes the payment of the current and all future repetitions of an
-  /// open task. InvalidArgument for a price below 1 or one whose curve
+  /// Changes the payment of the exposed (or next) and all later
+  /// repetitions of an open task; an accepted repetition keeps the price
+  /// it was accepted at. InvalidArgument for a price below 1 or one whose curve
   /// rate is outside the weight range, NotFound for unknown ids,
   /// FailedPrecondition once the task completed.
   Status Reprice(uint64_t job_id, TaskId task, int new_price);
@@ -155,8 +156,10 @@ class SharedMarket {
   /// FailedPrecondition while it is being processed or after completion,
   /// NotFound for unknown ids.
   StatusOr<double> OnHoldSince(uint64_t job_id, TaskId task) const;
-  /// Payment the current repetition promises; FailedPrecondition for
-  /// completed tasks.
+  /// Payment the current repetition promises (OpenTask::CurrentPrice):
+  /// the exposed one's price while on hold, else the price the in-flight
+  /// repetition was accepted at. FailedPrecondition for completed tasks,
+  /// NotFound for unknown ids.
   StatusOr<int> CurrentPrice(uint64_t job_id, TaskId task) const;
 
   /// Serializes the complete dynamic state (shared stream, pending

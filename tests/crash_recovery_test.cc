@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -23,8 +25,8 @@
 #include "durability/snapshot.h"
 #include "market/fault_schedule.h"
 #include "market/simulator.h"
-#include "market_state_v1.h"
 #include "model/price_rate_curve.h"
+#include "platform/inspect.h"
 #include "resilience/fault_injector.h"
 #include "tuning/repetition_allocator.h"
 
@@ -191,6 +193,41 @@ class FtCrashMatrixTest : public ::testing::Test {
     ExpectPaymentsExactlyOnce(storage.bytes(), recovered->report.spent);
   }
 
+  /// The journal up to its newest snapshot, with that snapshot's market
+  /// blob stripped of its 12-byte v2 header (magic and version), and
+  /// nothing after it. Empty on a setup failure.
+  std::string HeaderlessSnapshotJournal() const {
+    size_t last = records_.size();
+    for (size_t i = records_.size(); i > 0; --i) {
+      if (records_[i - 1].type == JournalRecordType::kSnapshot) {
+        last = i - 1;
+        break;
+      }
+    }
+    if (last == records_.size()) return "";
+    const size_t first_frame =
+        records_[0].end_offset -
+        EncodeJournalRecord(records_[0].type, records_[0].payload).size();
+    std::string journal = journal_.substr(0, first_frame);  // header
+    for (size_t i = 0; i <= last; ++i) {
+      std::string payload = records_[i].payload;
+      if (i == last) {
+        std::string market_blob, executor_blob;
+        if (!DurableContext::DecodeSnapshotPayload(payload, &market_blob,
+                                                   &executor_blob)
+                 .ok()) {
+          return "";
+        }
+        Encoder encoder;
+        encoder.PutString(market_blob.substr(12));
+        encoder.PutString(executor_blob);
+        payload = std::move(encoder).Release();
+      }
+      journal += EncodeJournalRecord(records_[i].type, payload);
+    }
+    return journal;
+  }
+
   FtScenario scenario_;
   DurableRun baseline_;
   std::string journal_;
@@ -288,56 +325,36 @@ TEST_F(FtCrashMatrixTest, BitFlippedTailIsDroppedAndRegenerated) {
   ExpectRecoveryMatchesBaseline(storage);
 }
 
-TEST_F(FtCrashMatrixTest, V1SnapshotPrefixJournalRecoversBitwise) {
-  // Forward compatibility with pre-rewrite journals: rebuild the journal up
-  // to its newest snapshot, but rewrite that snapshot's market blob in the
-  // legacy v1 encoding (no magic/version header), and truncate everything
-  // after it — the shape of a journal written by the old engine right
-  // before an upgrade-then-crash. Recovery must sniff the v1 blob, restore
-  // bitwise, and regenerate the remainder of the run identically.
-  size_t last_snapshot = records_.size();
-  for (size_t i = records_.size(); i > 0; --i) {
-    if (records_[i - 1].type == JournalRecordType::kSnapshot) {
-      last_snapshot = i - 1;
-      break;
-    }
-  }
-  ASSERT_LT(last_snapshot, records_.size());
-
-  const size_t first_frame =
-      records_[0].end_offset -
-      EncodeJournalRecord(records_[0].type, records_[0].payload).size();
-  std::string rebuilt = journal_.substr(0, first_frame);  // header
-  for (size_t i = 0; i <= last_snapshot; ++i) {
-    std::string payload = records_[i].payload;
-    if (i == last_snapshot) {
-      std::string market_blob, executor_blob;
-      ASSERT_TRUE(DurableContext::DecodeSnapshotPayload(payload, &market_blob,
-                                                        &executor_blob)
-                      .ok());
-      const auto state = DecodeMarketState(market_blob);
-      ASSERT_TRUE(state.ok()) << state.status();
-      Encoder encoder;
-      encoder.PutString(EncodeMarketStateLegacyV1(*state));
-      encoder.PutString(executor_blob);
-      payload = std::move(encoder).Release();
-    }
-    rebuilt += EncodeJournalRecord(records_[i].type, payload);
-  }
-
-  InMemoryJournalStorage storage(rebuilt);
+TEST_F(FtCrashMatrixTest, HeaderlessSnapshotFailsRecoveryAndAppendsNothing) {
+  // A journal cut after its newest snapshot, whose market blob lacks the
+  // v2 header (the pre-v2 format): recovery refuses it rather than rerun
+  // from a blob it cannot read, and leaves the journal as it was.
+  const std::string journal = HeaderlessSnapshotJournal();
+  ASSERT_FALSE(journal.empty());
+  InMemoryJournalStorage storage(journal);
   const auto recovered = RunFt(scenario_, storage);
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  ExpectReportsIdentical(recovered->report, baseline_.report);
-  ExpectTracesIdentical(recovered->trace, baseline_.trace);
-  ExpectPaymentsExactlyOnce(storage.bytes(), recovered->report.spent);
-  // The v1 snapshot record itself stays as written (the journal is
-  // append-only), but every record regenerated after it must match the
-  // baseline journal's suffix byte for byte.
-  ASSERT_GT(storage.bytes().size(), rebuilt.size());
-  EXPECT_EQ(storage.bytes().substr(rebuilt.size()),
-            journal_.substr(static_cast<size_t>(
-                records_[last_snapshot].end_offset)));
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument)
+      << recovered.status();
+  EXPECT_NE(recovered.status().message().find("no v2 header"),
+            std::string::npos)
+      << recovered.status();
+  EXPECT_EQ(storage.bytes(), journal);
+}
+
+TEST_F(FtCrashMatrixTest, InspectVerifyReportsHeaderlessSnapshot) {
+  const std::string journal = HeaderlessSnapshotJournal();
+  ASSERT_FALSE(journal.empty());
+  const std::string path =
+      (std::filesystem::path(testing::TempDir()) /
+       "crash_recovery_test.headerless.journal")
+          .string();
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << journal;
+  std::string out;
+  EXPECT_EQ(InspectFile("verify", path, &out), 1) << out;
+  EXPECT_NE(out.find("SNAPSHOT record: "), std::string::npos) << out;
+  EXPECT_NE(out.find("no v2 header"), std::string::npos) << out;
+  std::filesystem::remove(path);
 }
 
 TEST_F(FtCrashMatrixTest, RerunningAFinishedJournalVerifiesAndMatches) {

@@ -2,7 +2,6 @@
 // framing and torn-tail recovery, the exactly-once budget ledger, the
 // market snapshot codec, and MarketSimulator capture/restore determinism.
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -20,7 +19,6 @@
 #include "durability/serialize.h"
 #include "durability/snapshot.h"
 #include "market/simulator.h"
-#include "market_state_v1.h"
 #include "model/price_rate_curve.h"
 
 namespace htune {
@@ -425,40 +423,49 @@ TEST(SnapshotTest, V2BlobCarriesMagicAndRejectsUnknownVersions) {
             std::string::npos);
 }
 
-TEST(SnapshotTest, LegacyV1BlobDecodesAndContinuesBitwise) {
-  // A pre-rewrite (v1) snapshot blob — the raw body with no magic/version
-  // header, events in whatever order the old binary heap held them — must
-  // decode transparently and restore to the same run as the v2 blob.
-  MarketSimulator original(AbandonmentConfig());
-  PostSomeTasks(original, 6);
-  original.RunUntil(0.8);
-  const auto state = original.CaptureState({});
+TEST(SnapshotTest, HeaderlessBlobIsInvalidArgument) {
+  // The pre-v2 format was the body with no magic/version header. It is
+  // refused, not rerun: a headerless blob, or any blob whose first word is
+  // not the magic, decodes to InvalidArgument.
+  MarketSimulator market(AbandonmentConfig());
+  PostSomeTasks(market, 6);
+  market.RunUntil(0.8);
+  const auto state = market.CaptureState({});
   ASSERT_TRUE(state.ok());
-
-  // Scramble the canonical event order: v1 journals stored raw heap order,
-  // so the decoder must accept any permutation.
-  MarketState scrambled = *state;
-  if (scrambled.events.size() > 1) {
-    std::reverse(scrambled.events.begin(), scrambled.events.end());
+  const std::string bytes = EncodeMarketState(*state);
+  for (const std::string& blob :
+       {bytes.substr(12), std::string(), bytes.substr(0, 7),
+        std::string(8, '\0') + bytes.substr(8)}) {
+    const auto decoded = DecodeMarketState(blob);
+    ASSERT_FALSE(decoded.ok()) << blob.size();
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find("no v2 header"),
+              std::string::npos)
+        << decoded.status();
   }
-  const std::string v1_bytes = EncodeMarketStateLegacyV1(scrambled);
-  const auto decoded = DecodeMarketState(v1_bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
+}
 
-  MarketSimulator from_v1(AbandonmentConfig());
-  ASSERT_TRUE(from_v1.RestoreState(*decoded, {}).ok());
-  ASSERT_TRUE(original.RunToCompletion().ok());
-  ASSERT_TRUE(from_v1.RunToCompletion().ok());
-  EXPECT_EQ(original.TotalSpent(), from_v1.TotalSpent());
-  EXPECT_EQ(original.now(), from_v1.now());
-  EXPECT_EQ(original.workers_arrived(), from_v1.workers_arrived());
-  ASSERT_EQ(original.trace().size(), from_v1.trace().size());
-  for (size_t i = 0; i < original.trace().size(); ++i) {
-    EXPECT_EQ(original.trace()[i].time, from_v1.trace()[i].time)
-        << "event " << i;
-    EXPECT_EQ(original.trace()[i].kind, from_v1.trace()[i].kind)
-        << "event " << i;
-  }
+// Completed outcomes restore in the order `completion_order` names, the
+// completion order CaptureState writes; the id-sorted or otherwise permuted
+// outcomes the pre-v2 format allowed are refused.
+TEST(SnapshotTest, RestoreRequiresCompletedOutcomesInCompletionOrder) {
+  MarketSimulator market(AbandonmentConfig());
+  PostSomeTasks(market, 6);
+  market.RunUntil(2.5);
+  const auto state = market.CaptureState({});
+  ASSERT_TRUE(state.ok());
+  ASSERT_GE(state->completed.size(), 2u);
+  auto restore = [](const MarketState& patched) {
+    MarketSimulator restored(AbandonmentConfig());
+    return restored.RestoreState(patched, {}).code();
+  };
+  EXPECT_EQ(restore(*state), StatusCode::kOk);
+  MarketState swapped = *state;
+  std::swap(swapped.completed[0], swapped.completed[1]);
+  EXPECT_EQ(restore(swapped), StatusCode::kInvalidArgument);
+  MarketState short_order = *state;
+  short_order.completion_order.pop_back();
+  EXPECT_EQ(restore(short_order), StatusCode::kInvalidArgument);
 }
 
 TEST(SnapshotTest, RestoredMarketContinuesBitwiseIdentically) {

@@ -23,7 +23,6 @@
 #include "durability/snapshot.h"
 #include "fleet/supervisor.h"
 #include "market/simulator.h"
-#include "market_state_v1.h"
 #include "model/price_rate_curve.h"
 #include "platform/inspect.h"
 #include "platform/service.h"
@@ -304,12 +303,6 @@ TEST(InspectTest, SnapshotSummariesTallyQueueAndTraceKinds) {
   EXPECT_EQ(Inspect("verify", SnapshotJournal(EncodeMarketState(state)))
                 .exit_code,
             0);
-
-  const Inspection v1 =
-      Inspect("dump", SnapshotJournal(EncodeMarketStateLegacyV1(state)));
-  EXPECT_EQ(v1.exit_code, 0) << v1.out;
-  EXPECT_NE(v1.out.find("(v1 now="), std::string::npos) << v1.out;
-  EXPECT_NE(v1.out.find(counts + tallies), std::string::npos) << v1.out;
 }
 
 TEST(InspectTest, TruncatedOrTrailingSnapshotBlobIsUndecodable) {

@@ -17,6 +17,7 @@
 #include "durability/crc32c.h"
 #include "durability/serialize.h"
 #include "durability/snapshot.h"
+#include "market/simulator.h"
 #include "model/price_rate_curve.h"
 
 namespace htune {
@@ -240,6 +241,196 @@ TEST(SharedMarketTest, OnHoldSinceAndCurrentPriceTrackTheOpenRepetition) {
   EXPECT_FALSE(market.CurrentPrice(1, *task).ok());
 }
 
+// The single-job engine with the shared engine's acceptance law: one
+// task's acceptance rate is its curve rate, under the same curve and
+// arrival rate as BaseConfig.
+MarketConfig SimulatorConfig(uint64_t seed) {
+  MarketConfig config;
+  config.worker_arrival_rate = BaseConfig().worker_arrival_rate;
+  config.true_curve = UnitCurve();
+  config.seed = seed;
+  return config;
+}
+
+StatusOr<TaskId> PostToSimulator(MarketSimulator& market, int price,
+                                 int repetitions, double processing_rate) {
+  TaskSpec spec;
+  spec.price_per_repetition = price;
+  spec.repetitions = repetitions;
+  spec.processing_rate = processing_rate;
+  return market.PostTask(spec);
+}
+
+/// One job of a SharedMarket behind MarketSimulator's task API, so one
+/// driver can run a task through either engine.
+struct SharedJobView {
+  SharedMarket& market;
+  uint64_t job;
+  void RunUntil(double deadline) { market.RunUntil(deadline); }
+  Status Reprice(TaskId id, int price) {
+    return market.Reprice(job, id, price);
+  }
+  StatusOr<double> OnHoldSince(TaskId id) const {
+    return market.OnHoldSince(job, id);
+  }
+  StatusOr<int> CurrentPrice(TaskId id) const {
+    return market.CurrentPrice(job, id);
+  }
+  size_t OpenTaskCount() const { return market.OpenTaskCount(job); }
+  const std::vector<TaskOutcome>& CompletedOutcomes() const {
+    return market.CompletedOutcomes(job);
+  }
+  long TotalSpent() const { return market.TotalSpent(job); }
+};
+
+struct SimulatorView {
+  MarketSimulator& market;
+  void RunUntil(double deadline) { market.RunUntil(deadline); }
+  Status Reprice(TaskId id, int price) { return market.Reprice(id, price); }
+  StatusOr<double> OnHoldSince(TaskId id) const {
+    return market.OnHoldSince(id);
+  }
+  StatusOr<int> CurrentPrice(TaskId id) const {
+    return market.CurrentPrice(id);
+  }
+  size_t OpenTaskCount() const { return market.OpenTaskCount(); }
+  const std::vector<TaskOutcome>& CompletedOutcomes() const {
+    return market.CompletedOutcomes();
+  }
+  long TotalSpent() const { return market.TotalSpent(); }
+};
+
+/// Runs `view` in small steps until `done()` holds; false if it never does.
+template <typename View, typename Done>
+bool AdvanceUntil(View& view, double& clock, Done done) {
+  while (!done()) {
+    if (clock > 1e3) return false;
+    clock += 0.002;
+    view.RunUntil(clock);
+  }
+  return true;
+}
+
+// After a reprice, an in-flight repetition still pays, and both engines
+// report, the price it was accepted at.
+TEST(SharedMarketTest, InFlightRepetitionReportsItsAcceptedPrice) {
+  SharedMarket shared(BaseConfig());
+  ASSERT_TRUE(shared.AddJob(1, 5).ok());
+  MarketSimulator simulator(SimulatorConfig(5));
+  const auto shared_task = shared.PostTask(1, {2, 2}, 1e-6);
+  const auto simulator_task = PostToSimulator(simulator, 2, 2, 1e-6);
+  ASSERT_TRUE(shared_task.ok());
+  ASSERT_TRUE(simulator_task.ok());
+
+  auto expect_accepted_price = [](auto view, TaskId id) {
+    double clock = 0.0;
+    ASSERT_TRUE(AdvanceUntil(view, clock,
+                             [&] { return !view.OnHoldSince(id).ok(); }));
+    ASSERT_EQ(view.OpenTaskCount(), 1u);  // accepted, processing
+    ASSERT_TRUE(view.Reprice(id, 5).ok());
+    const auto price = view.CurrentPrice(id);
+    ASSERT_TRUE(price.ok()) << price.status();
+    EXPECT_EQ(*price, 2);
+  };
+  expect_accepted_price(SharedJobView{shared, 1}, *shared_task);
+  expect_accepted_price(SimulatorView{simulator}, *simulator_task);
+}
+
+/// What one task's run through an engine showed.
+struct Lifecycle {
+  std::vector<int> exposed_prices;  // CurrentPrice at each exposure
+  int in_flight_price = 0;  // CurrentPrice after the in-flight reprice
+  std::vector<double> hold_starts;  // OnHoldSince at each exposure
+  TaskOutcome outcome;
+  long spent = 0;
+  std::vector<StatusCode> completed_codes;  // Reprice, OnHoldSince, Price
+  std::vector<StatusCode> unknown_codes;
+};
+
+/// Runs task `id` (3 repetitions at price 2) to completion: repriced to 3
+/// while its first repetition is on hold, and to 5 while it is in flight.
+template <typename View>
+void DriveLifecycle(View view, TaskId id, Lifecycle* out) {
+  double clock = 0.0;
+  for (int k = 0; k < 3; ++k) {
+    const auto since = view.OnHoldSince(id);
+    ASSERT_TRUE(since.ok()) << since.status();
+    out->hold_starts.push_back(*since);
+    if (k == 0) {
+      EXPECT_EQ(*view.CurrentPrice(id), 2);
+      ASSERT_TRUE(view.Reprice(id, 3).ok());
+      EXPECT_EQ(*view.OnHoldSince(id), *since);  // not a new exposure
+    }
+    out->exposed_prices.push_back(*view.CurrentPrice(id));
+    ASSERT_TRUE(AdvanceUntil(view, clock,
+                             [&] { return !view.OnHoldSince(id).ok(); }));
+    if (k == 0) {
+      ASSERT_EQ(view.OpenTaskCount(), 1u);
+      ASSERT_TRUE(view.Reprice(id, 5).ok());
+      out->in_flight_price = *view.CurrentPrice(id);
+    }
+    ASSERT_TRUE(AdvanceUntil(view, clock, [&] {
+      return view.OnHoldSince(id).ok() || view.OpenTaskCount() == 0;
+    }));
+  }
+  ASSERT_EQ(view.OpenTaskCount(), 0u);
+  ASSERT_EQ(view.CompletedOutcomes().size(), 1u);
+  out->outcome = view.CompletedOutcomes().front();
+  out->spent = view.TotalSpent();
+  for (const TaskId probe : {id, id + 1}) {
+    std::vector<StatusCode>& codes =
+        probe == id ? out->completed_codes : out->unknown_codes;
+    codes = {view.Reprice(probe, 4).code(),
+             view.OnHoldSince(probe).status().code(),
+             view.CurrentPrice(probe).status().code()};
+  }
+}
+
+// One task through both engines' lifecycle (expose, accept, finish, pay,
+// expose the next): they agree on what each repetition pays, what spend
+// sums, when each exposure starts and which codes unknown and completed
+// ids get.
+TEST(SharedMarketTest, BothEnginesShareOneTaskLifecycle) {
+  SharedMarket shared(BaseConfig());
+  ASSERT_TRUE(shared.AddJob(1, 12).ok());
+  const auto shared_task = shared.PostTask(1, {2, 2, 2}, 4.0);
+  ASSERT_TRUE(shared_task.ok());
+  MarketSimulator simulator(SimulatorConfig(12));
+  const auto simulator_task = PostToSimulator(simulator, 2, 3, 4.0);
+  ASSERT_TRUE(simulator_task.ok());
+
+  Lifecycle runs[2];
+  DriveLifecycle(SharedJobView{shared, 1}, *shared_task, &runs[0]);
+  ASSERT_FALSE(testing::Test::HasFatalFailure());
+  DriveLifecycle(SimulatorView{simulator}, *simulator_task, &runs[1]);
+  ASSERT_FALSE(testing::Test::HasFatalFailure());
+
+  for (const Lifecycle& run : runs) {
+    EXPECT_EQ(run.exposed_prices, (std::vector<int>{3, 5, 5}));
+    EXPECT_EQ(run.in_flight_price, 3);
+    const std::vector<RepetitionOutcome>& reps = run.outcome.repetitions;
+    ASSERT_EQ(reps.size(), 3u);
+    long paid = 0;
+    for (size_t k = 0; k < reps.size(); ++k) {
+      EXPECT_EQ(reps[k].price, run.exposed_prices[k]) << k;
+      paid += reps[k].price;
+      // Each exposure starts its own on-hold clock: at posting, then when
+      // the previous repetition's answer returned.
+      EXPECT_EQ(run.hold_starts[k], reps[k].posted_time) << k;
+      EXPECT_EQ(run.hold_starts[k],
+                k == 0 ? run.outcome.posted_time : reps[k - 1].completed_time)
+          << k;
+    }
+    EXPECT_EQ(run.spent, paid);
+    EXPECT_EQ(run.outcome.completed_time, reps.back().completed_time);
+    EXPECT_EQ(run.completed_codes,
+              std::vector<StatusCode>(3, StatusCode::kFailedPrecondition));
+    EXPECT_EQ(run.unknown_codes,
+              std::vector<StatusCode>(3, StatusCode::kNotFound));
+  }
+  EXPECT_EQ(runs[0].spent, runs[1].spent);
+}
+
 // The bitwise-resume contract: capture mid-competition, restore into a
 // fresh engine, and both finish with byte-identical state.
 TEST(SharedMarketTest, CaptureRestoreContinuesBitwise) {
@@ -444,10 +635,10 @@ TEST(SharedMarketTest, NonIntegerWeightTranscriptIsPinned) {
   EXPECT_EQ(crc, 0x948ab3cdu);
 }
 
-// Integer weight sums do not depend on their order: an engine that
-// compacted its tombstones and an engine restored from its snapshot (which
-// never held them) report bit-equal totals and bytes under off-grid
-// weights, and continue identically.
+// Integer weight sums do not depend on their order: a running engine with
+// many completed tasks and an engine restored from its snapshot report
+// bit-equal totals and bytes under off-grid weights, and continue
+// identically.
 TEST(SharedMarketTest, WeightTotalsAreOrderFree) {
   SharedMarketConfig config = BaseConfig();
   config.curve = std::make_shared<LogCurve>(7.3);
@@ -464,7 +655,7 @@ TEST(SharedMarketTest, WeightTotalsAreOrderFree) {
   for (size_t k = 0; k < early.size(); k += 5) {
     ASSERT_TRUE(compacted.Reprice(1, early[k], 9).ok());
   }
-  // Over half of job 1's tasks complete, so it compacted at least once.
+  // Over half of job 1's tasks complete before the capture.
   for (double clock = 0.1; compacted.CompletedOutcomes(1).size() * 2 <= kTasks;
        clock += 0.1) {
     compacted.RunUntil(clock);
@@ -532,7 +723,7 @@ TEST(SharedMarketTest, CompletedTasksVanishFromEveryView) {
   EXPECT_EQ(market.Reprice(1, finished, 5).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(market.OnHoldSince(1, finished).status().code(),
-            StatusCode::kNotFound);
+            StatusCode::kFailedPrecondition);
   EXPECT_EQ(market.CurrentPrice(1, finished).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(market.Reprice(1, kTasks + 1, 5).code(), StatusCode::kNotFound);
@@ -547,7 +738,7 @@ TEST(SharedMarketTest, CompletedTasksVanishFromEveryView) {
   EXPECT_EQ(resumed.Reprice(1, finished, 5).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(resumed.OnHoldSince(1, finished).status().code(),
-            StatusCode::kNotFound);
+            StatusCode::kFailedPrecondition);
 
   ASSERT_TRUE(market.RunToCompletion().ok());
   ASSERT_TRUE(resumed.RunToCompletion().ok());
