@@ -287,10 +287,12 @@ std::string EncodeJournalHeader(const JournalFormat& format) {
 
 std::string EncodeJournalRecord(JournalRecordType type,
                                 std::string_view payload) {
+  std::string bytes;
+  bytes.reserve(kFrameOverhead + payload.size());
   Encoder frame;
   frame.PutU32(static_cast<uint32_t>(payload.size()));
   frame.PutU8(static_cast<uint8_t>(type));
-  std::string bytes = frame.Release();
+  bytes += frame.bytes();
   bytes.append(payload.data(), payload.size());
   Encoder crc;
   crc.PutU32(Crc32c(bytes));
@@ -428,12 +430,15 @@ Status JournalWriter::AppendWithRetry(std::string_view bytes) {
 
 Status JournalWriter::Append(JournalRecordType type,
                              std::string_view payload) {
+  return AppendFramed(EncodeJournalRecord(type, payload));
+}
+
+Status JournalWriter::AppendFramed(std::string_view record) {
   HTUNE_OBS_SPAN("journal.append");
   if (!header_written_) {
     HTUNE_RETURN_IF_ERROR(AppendWithRetry(EncodeJournalHeader(format_)));
     header_written_ = true;
   }
-  const std::string record = EncodeJournalRecord(type, payload);
   HTUNE_OBS_COUNTER_ADD("journal.appends", 1);
   HTUNE_OBS_COUNTER_ADD("journal.appended_bytes", record.size());
   return AppendWithRetry(record);

@@ -8,7 +8,11 @@
 #include <string_view>
 #include <vector>
 
+#include "common/check.h"
 #include "common/statusor.h"
+#include "durability/crc32c.h"
+#include "durability/records.h"
+#include "durability/serialize.h"
 #include "resilience/policy.h"
 
 namespace htune {
@@ -213,6 +217,23 @@ std::string EncodeJournalHeader(const JournalFormat& format);
 std::string EncodeJournalRecord(JournalRecordType type,
                                 std::string_view payload);
 
+/// EncodeJournalRecord(type, EncodeRecord(record)), with the payload
+/// encoded straight into a frame sized exactly up front. A serve kRunEnd
+/// embeds the job's whole trace, so its payload is never a string of its
+/// own that the frame would copy again.
+template <typename Record>
+std::string EncodeRecordFrame(JournalRecordType type, const Record& record) {
+  const size_t payload = EncodedRecordSize(record);
+  Encoder frame;
+  frame.Reserve(4 + 1 + payload + 4);
+  frame.PutU32(static_cast<uint32_t>(payload));
+  frame.PutU8(static_cast<uint8_t>(type));
+  PutRecord(frame, record);
+  HTUNE_CHECK_EQ(frame.bytes().size(), 4 + 1 + payload);
+  frame.PutU32(Crc32c(frame.bytes()));
+  return frame.Release();
+}
+
 /// Scans raw log bytes of `format` into validated records. An empty input
 /// is a fresh log. A torn or bit-flipped record, or one whose type lies
 /// outside the format's namespace, ends the valid prefix: that record and
@@ -255,6 +276,11 @@ class JournalWriter {
   void EnableRetry(const RetryPolicy& policy, uint64_t jitter_seed);
 
   Status Append(JournalRecordType type, std::string_view payload);
+  /// Append(type, EncodeRecord(record)), framed by EncodeRecordFrame.
+  template <typename Record>
+  Status AppendRecord(JournalRecordType type, const Record& record) {
+    return AppendFramed(EncodeRecordFrame(type, record));
+  }
   Status Flush();
 
   /// Bytes known to be durably framed (header + whole records appended so
@@ -262,6 +288,8 @@ class JournalWriter {
   uint64_t valid_bytes() const { return valid_bytes_; }
 
  private:
+  /// Appends one framed record, after the header on a fresh log.
+  Status AppendFramed(std::string_view record);
   /// Appends `bytes` with retry-and-repair when a policy is enabled.
   Status AppendWithRetry(std::string_view bytes);
 

@@ -1,6 +1,7 @@
 #ifndef HTUNE_DURABILITY_RECORDS_H_
 #define HTUNE_DURABILITY_RECORDS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -178,7 +179,29 @@ inline Status Get(Decoder& d, std::vector<double>& v) {
   return d.GetDoubleVector(&v);
 }
 
+/// The bytes Put writes for a value.
+template <typename T>
+size_t Size(const T& v) = delete;
+inline size_t Size(bool) { return 1; }
+inline size_t Size(uint8_t) { return 1; }
+inline size_t Size(int32_t) { return 4; }
+inline size_t Size(int64_t) { return 8; }
+inline size_t Size(uint64_t) { return 8; }
+inline size_t Size(double) { return 8; }
+inline size_t Size(const std::string& v) { return 8 + v.size(); }
+inline size_t Size(const std::vector<int>& v) { return 8 + 4 * v.size(); }
+inline size_t Size(const std::vector<double>& v) { return 8 + 8 * v.size(); }
+
 /// A u64 count, then each pair's two fields.
+template <typename A, typename B>
+size_t Size(const std::vector<std::pair<A, B>>& pairs) {
+  size_t size = 8;
+  for (const auto& [a, b] : pairs) {
+    size += Size(a) + Size(b);
+  }
+  return size;
+}
+
 template <typename A, typename B>
 void Put(Encoder& e, const std::vector<std::pair<A, B>>& pairs) {
   e.PutU64(pairs.size());
@@ -219,15 +242,37 @@ Status GetFields(Decoder& d, Fields&... fields) {
   return status;
 }
 
+/// The number of bytes EncodeRecord(record) returns.
 template <typename Record>
-std::string EncodeRecord(const Record& record) {
-  Encoder e;
+size_t EncodedRecordSize(const Record& record) {
+  size_t size = 0;
+  if constexpr (requires { Record::kVersion; }) {
+    size += 4;
+  }
+  std::apply(
+      [&](const auto&... field) {
+        size += (record_codec::Size(record.*field.second) + ... + 0);
+      },
+      Record::kFields);
+  return size;
+}
+
+/// Appends EncodeRecord(record)'s bytes to `e`.
+template <typename Record>
+void PutRecord(Encoder& e, const Record& record) {
   if constexpr (requires { Record::kVersion; }) {
     e.PutU32(Record::kVersion);
   }
   std::apply(
       [&](const auto&... field) { PutFields(e, record.*field.second...); },
       Record::kFields);
+}
+
+template <typename Record>
+std::string EncodeRecord(const Record& record) {
+  Encoder e;
+  e.Reserve(EncodedRecordSize(record));
+  PutRecord(e, record);
   return e.Release();
 }
 

@@ -1,41 +1,27 @@
 #include "durability/serialize.h"
 
+#include <bit>
 #include <cstring>
 
 namespace htune {
 
 namespace {
 
-// Serialize integers explicitly byte-by-byte so the on-disk format is
-// little-endian regardless of host endianness.
-template <typename T>
-void AppendLe(std::string& out, T v) {
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
+// The on-disk format is little-endian whatever the host's order.
 template <typename T>
 T ReadLe(const char* p) {
   T v = 0;
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    v |= static_cast<T>(static_cast<uint8_t>(p[i])) << (8 * i);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(static_cast<uint8_t>(p[i])) << (8 * i);
+    }
   }
   return v;
 }
 
 }  // namespace
-
-void Encoder::PutU8(uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
-void Encoder::PutU32(uint32_t v) { AppendLe(bytes_, v); }
-void Encoder::PutU64(uint64_t v) { AppendLe(bytes_, v); }
-
-void Encoder::PutDouble(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
 
 void Encoder::PutString(std::string_view v) {
   PutU64(v.size());

@@ -1,7 +1,10 @@
 #ifndef HTUNE_DURABILITY_SERIALIZE_H_
 #define HTUNE_DURABILITY_SERIALIZE_H_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,24 +20,42 @@ namespace htune {
 /// (replay verification compares records bitwise).
 class Encoder {
  public:
-  void PutU8(uint8_t v);
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
+  void PutU8(uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
+  void PutU32(uint32_t v) { PutLe(v); }
+  void PutU64(uint64_t v) { PutLe(v); }
   void PutI32(int32_t v) { PutU32(static_cast<uint32_t>(v)); }
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
   /// Doubles are stored as their IEEE-754 bit pattern: decode is bitwise
   /// exact, which the crash-recovery identity guarantees depend on.
-  void PutDouble(double v);
+  void PutDouble(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
   /// Length-prefixed bytes (u64 length).
   void PutString(std::string_view v);
   void PutI32Vector(const std::vector<int>& v);
   void PutDoubleVector(const std::vector<double>& v);
 
+  /// Makes room for `n` more bytes, so a caller that knows its encoded
+  /// size writes it without regrowing the buffer.
+  void Reserve(size_t n) { bytes_.reserve(bytes_.size() + n); }
+
   const std::string& bytes() const { return bytes_; }
   std::string Release() { return std::move(bytes_); }
 
  private:
+  /// One append of `v`'s little-endian bytes, whatever the host order.
+  template <typename T>
+  void PutLe(T v) {
+    char le[sizeof(T)];
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(le, &v, sizeof(T));
+    } else {
+      for (size_t i = 0; i < sizeof(T); ++i) {
+        le[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+      }
+    }
+    bytes_.append(le, sizeof(T));
+  }
+
   std::string bytes_;
 };
 

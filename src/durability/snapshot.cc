@@ -16,6 +16,9 @@ namespace {
 constexpr uint64_t kSnapshotMagic = 0xFFF7485453563200ULL;
 constexpr uint32_t kSnapshotVersion = 2;
 
+/// One encoded TraceEvent: time, kind, worker, task, repetition.
+constexpr size_t kTraceEventBytes = 8 + 1 + 8 + 8 + 4;
+
 void EncodeRepetition(const RepetitionOutcome& rep, Encoder& encoder) {
   encoder.PutDouble(rep.posted_time);
   encoder.PutDouble(rep.accepted_time);
@@ -135,6 +138,7 @@ Status DecodeTaskOutcome(Decoder& decoder, TaskOutcome& outcome) {
 
 void EncodeTraceEvents(const std::vector<TraceEvent>& events,
                        Encoder& encoder) {
+  encoder.Reserve(8 + kTraceEventBytes * events.size());
   encoder.PutU64(events.size());
   for (const TraceEvent& event : events) {
     encoder.PutDouble(event.time);
@@ -147,7 +151,7 @@ void EncodeTraceEvents(const std::vector<TraceEvent>& events,
 
 Status DecodeTraceEvents(Decoder& decoder, std::vector<TraceEvent>& events) {
   return DecodeVector<TraceEvent>(
-      decoder, 29,
+      decoder, kTraceEventBytes,
       [](Decoder& d, TraceEvent& event) -> Status {
         HTUNE_RETURN_IF_ERROR(d.GetDouble(&event.time));
         uint8_t kind = 0;

@@ -185,8 +185,7 @@ StatusOr<TaskId> MarketSimulator::PostTask(const TaskSpec& spec) {
 void MarketSimulator::ExposeCurrentRepetition(TaskId id, SimulatorTask& task,
                                               double t, bool reposted,
                                               bool already_on_hold) {
-  task.current_posted_time = t;
-  task.awaiting_acceptance = true;
+  task.Expose(t);
   ++task.exposure_generation;
   const size_t rep_slot = task.outcome.repetitions.size();
   if (reposted) {
@@ -375,6 +374,7 @@ Status MarketSimulator::Reprice(TaskId id, int new_price,
     task.rep_prices[r] = new_price;
     task.rep_rates[r] = rate;
   }
+  task.SyncCurrentPrice();
   task.reprice_price = new_price;
   task.reprice_rate = rate;
   if (task.awaiting_acceptance) {
@@ -655,6 +655,7 @@ Status MarketSimulator::RestoreState(
     task->reprice_price = t.reprice_price;
     task->reprice_rate = t.reprice_rate;
     HTUNE_RETURN_IF_ERROR(audit.AddTask(*task));
+    task->RebuildTransient();
   }
   // Completed outcomes come in completion order, as CaptureState writes
   // them.

@@ -53,9 +53,12 @@ struct TaskSpec {
 /// The engine-neutral record of a posted task while it is open: what both
 /// market engines read after PostTask (the paper's task of §3.1/§4.3: its
 /// per-repetition prices, processing rate, answer and outcome), and the
-/// repetition lifecycle both engines run on it: Accept, then
+/// repetition lifecycle both engines run on it: Expose, then Accept, then
 /// FinishRepetition, then the engine exposes the next repetition or
-/// completes the task. Owned by a TaskStore in a recycled slot;
+/// completes the task. An acceptance reads only the record itself: the
+/// current price sits beside the hold state, and PostTask reserves the
+/// outcome's room for every repetition, so it allocates nothing and reads
+/// no price vector. Owned by a TaskStore in a recycled slot;
 /// ResetForReuse clears a previous tenant field by field so the slot's
 /// vector capacity survives recycling. An engine that needs more per task
 /// derives its own slot type (the single-job engine's SimulatorTask in
@@ -74,6 +77,9 @@ struct OpenTask {
   int num_options = 2;
   /// True while the current repetition awaits a worker (on-hold phase).
   bool awaiting_acceptance = true;
+  /// What CurrentPrice returns. Derived from rep_prices and the outcome, so
+  /// snapshots leave it out.
+  int current_price = 0;  // HTUNE_TRANSIENT: RebuildTransient on restore
 
   /// The repetition the task is working on: the exposed one while on hold,
   /// else the in-flight one, which is the last accepted (both engines'
@@ -91,9 +97,32 @@ struct OpenTask {
   /// The price the current repetition pays: the exposed slot's while on
   /// hold, else the one the in-flight repetition was accepted at (a
   /// reprice never changes an accepted repetition's terms).
-  int CurrentPrice() const {
-    return awaiting_acceptance ? rep_prices[outcome.repetitions.size()]
-                               : outcome.repetitions.back().price;
+  int CurrentPrice() const { return current_price; }
+
+  /// Re-reads current_price from the current slot. An engine calls it
+  /// after writing rep_prices (a reprice).
+  void SyncCurrentPrice() {
+    current_price = awaiting_acceptance
+                        ? rep_prices[outcome.repetitions.size()]
+                        : outcome.repetitions.back().price;
+  }
+
+  /// Rebuilds what snapshots leave out, once RestoreAudit::AddTask has
+  /// accepted the task: the current price, and the outcome's room for
+  /// every repetition.
+  void RebuildTransient() {
+    outcome.repetitions.reserve(rep_prices.size());
+    SyncCurrentPrice();
+  }
+
+  /// Puts the next repetition on hold from `now` at its slot's price
+  /// (§4.3). The first exposure, at PostTask, also reserves the outcome's
+  /// room for every repetition, so no acceptance allocates.
+  void Expose(double now) {
+    outcome.repetitions.reserve(rep_prices.size());
+    awaiting_acceptance = true;
+    current_posted_time = now;
+    current_price = rep_prices[outcome.repetitions.size()];
   }
 
   /// `worker` accepts the exposed repetition at `now` (§3.1.2): its terms
@@ -128,6 +157,7 @@ struct OpenTask {
     true_answer = 0;
     num_options = 2;
     awaiting_acceptance = true;
+    current_price = 0;
   }
 };
 
@@ -154,7 +184,7 @@ inline int OpenTask::Accept(double now, WorkerId worker, Random& rng,
   rep.posted_time = current_posted_time;
   rep.accepted_time = now;
   rep.worker = worker;
-  rep.price = rep_prices[outcome.repetitions.size()];
+  rep.price = current_price;
   DrawAnswer(rng, error_prob, *this, rep);
   outcome.repetitions.push_back(rep);
   awaiting_acceptance = false;

@@ -47,7 +47,7 @@ namespace htune {
 /// all, and `saturated_count()` reports how many entries would accept with
 /// probability >= 1 (those consume no RNG draw, so the batched-uniform
 /// fast path must be disabled while any exist). SharedMarket selects
-/// through its own Fenwick tree and leaves the on-hold index empty.
+/// through its own block sums and leaves the on-hold index empty.
 template <typename Slot = OpenTask>
 class TaskStore {
   static_assert(std::is_base_of_v<OpenTask, Slot>);

@@ -223,7 +223,7 @@ SharedMarketService::RunJobs(std::vector<JobRun> runs) {
       }
     } else {
       const Status appended =
-          job.writer->Append(JournalRecordType::kRunEnd, EncodeRecord(end));
+          job.writer->AppendRecord(JournalRecordType::kRunEnd, end);
       const Status flushed = appended.ok() ? job.writer->Flush() : appended;
       if (!flushed.ok()) {
         if (flushed.code() == StatusCode::kResourceExhausted) {
@@ -293,8 +293,8 @@ SharedMarketService::RunJobs(std::vector<JobRun> runs) {
                                          job.session->CaptureCounters());
         }
       }
-      HTUNE_RETURN_IF_ERROR(service_writer.Append(
-          JournalRecordType::kSnapshot, EncodeRecord(snapshot)));
+      HTUNE_RETURN_IF_ERROR(service_writer.AppendRecord(
+          JournalRecordType::kSnapshot, snapshot));
       HTUNE_RETURN_IF_ERROR(service_writer.Flush());
       ++counts_.snapshots;
       HTUNE_OBS_COUNTER_ADD("platform.service_snapshots", 1);

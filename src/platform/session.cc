@@ -94,29 +94,30 @@ Status JobSession::Review(SharedMarket& market,
                           const PriceRateCurve& diluted) {
   ++reviews_;
   const double now = market.now();
-  for (const TaskId task : market.OpenTaskIds(config_.job_id)) {
-    const auto since = market.OnHoldSince(config_.job_id, task);
-    if (!since.ok()) {
-      continue;  // being processed: nothing to escalate
-    }
-    const auto price = market.CurrentPrice(config_.job_id, task);
-    HTUNE_RETURN_IF_ERROR(price.status());
-    const double rate = diluted.Rate(static_cast<double>(*price));
+  // Spend moves only on completions and a reprice changes only its own
+  // task's price, so no escalation in this pass changes another task's
+  // straggler test: testing every task against the state the review began
+  // with, then escalating in task-id order, is the id-order walk that
+  // reads and reprices one task at a time.
+  const bool within_budget = market.TotalSpent(config_.job_id) < budget_;
+  for (const SharedMarket::OnHoldTask& task :
+       market.OnHoldTasks(config_.job_id)) {
+    const double rate = diluted.Rate(static_cast<double>(task.price));
     if (rate <= 0.0) {
       continue;
     }
     // Expected on-hold latency at this price under the current dilution is
     // 1/rate; waiting much longer than that marks a straggler.
-    const double waited = now - *since;
+    const double waited = now - task.since;
     if (waited <= config_.straggler_factor / rate) {
       continue;
     }
     ++stragglers_;
-    const int base = task_base_price_[static_cast<size_t>(task) - 1];
-    const bool within_cap = *price - base < config_.max_escalation;
-    const bool within_budget = market.TotalSpent(config_.job_id) < budget_;
+    const int base = task_base_price_[static_cast<size_t>(task.id) - 1];
+    const bool within_cap = task.price - base < config_.max_escalation;
     if (within_cap && within_budget) {
-      HTUNE_RETURN_IF_ERROR(market.Reprice(config_.job_id, task, *price + 1));
+      HTUNE_RETURN_IF_ERROR(
+          market.Reprice(config_.job_id, task.id, task.price + 1));
       ++escalations_;
     }
   }

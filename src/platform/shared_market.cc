@@ -1,7 +1,6 @@
 #include "platform/shared_market.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -51,7 +50,6 @@ Status CheckRepPrice(const PriceRateCurve& curve, int price) {
   return OkStatus();
 }
 
-constexpr size_t LowBit(size_t i) { return i & (~i + 1); }
 
 }  // namespace
 
@@ -66,15 +64,20 @@ struct SharedMarket::SharedJob {
   /// price while the task is on hold, 0 while it is processed or once it
   /// completed. Its size is the number of ids handed out.
   std::vector<int64_t> hold;  // HTUNE_TRANSIENT: rebuilt from tasks on restore
-  /// Fenwick tree over `hold`, 1-based: tree[i] sums the entries
-  /// [i - LowBit(i), i). tree[0] is unused.
-  std::vector<int64_t> tree;  // HTUNE_TRANSIENT: BuildTree on restore
+  /// Block sums over `hold`: sums[0][i] sums hold[8i, 8i + 8), and each
+  /// further level sums the one below in blocks of eight, up to a top
+  /// level of at most eight entries. A selection scans one block per
+  /// level, so it reads a cache line or two per level where a binary tree
+  /// reads a node per bit of the id.
+  std::vector<std::vector<int64_t>> sums;  // HTUNE_TRANSIENT: BuildSums
   /// Sum of `hold`.
-  int64_t total = 0;  // HTUNE_TRANSIENT: BuildTree on restore
+  int64_t total = 0;  // HTUNE_TRANSIENT: BuildSums on restore
   std::vector<TraceEvent> trace;
 
+  static constexpr size_t kBlock = 8;
+
   explicit SharedJob(uint64_t job_id, uint64_t seed)
-      : id(job_id), rng(seed), tree(1, 0) {}
+      : id(job_id), rng(seed) {}
 
   /// The id the next posted task gets.
   TaskId NextTask() const { return hold.size() + 1; }
@@ -82,55 +85,82 @@ struct SharedMarket::SharedJob {
   /// The job's total weight; exact while the total is below 2^53 units.
   double Weight() const { return static_cast<double>(total) * kUnitWeight; }
 
-  /// Adds an entry holding `units` behind the last one, in O(log n): the
-  /// new node sums its own entry and the nodes it covers.
-  void Append(int64_t units) {
-    hold.push_back(units);
-    const size_t node = hold.size();
-    int64_t sum = units;
-    for (size_t child = node - 1; child > node - LowBit(node);
-         child -= LowBit(child)) {
-      sum += tree[child];
+  /// The highest level: `hold` itself until it passes kBlock entries.
+  const std::vector<int64_t>& Top() const {
+    return sums.empty() ? hold : sums.back();
+  }
+
+  /// The sums of `level` in blocks of kBlock.
+  static std::vector<int64_t> BlockSums(const std::vector<int64_t>& level) {
+    std::vector<int64_t> blocks((level.size() + kBlock - 1) / kBlock, 0);
+    for (size_t i = 0; i < level.size(); ++i) {
+      blocks[i / kBlock] += level[i];
     }
-    tree.push_back(sum);
+    return blocks;
+  }
+
+  /// Adds an entry holding `units` behind the last one, in O(log n).
+  void Append(int64_t units) {
+    size_t i = hold.size();
+    hold.push_back(units);
+    for (std::vector<int64_t>& level : sums) {
+      i /= kBlock;
+      if (i == level.size()) {
+        level.push_back(units);
+      } else {
+        level[i] += units;
+      }
+    }
+    if (Top().size() > kBlock) {
+      sums.push_back(BlockSums(Top()));
+    }
     total += units;
   }
 
   void SetHold(TaskId task, int64_t units) {
-    const int64_t delta = units - hold[task - 1];
-    hold[task - 1] = units;
-    total += delta;
-    for (size_t node = task; node < tree.size(); node += LowBit(node)) {
-      tree[node] += delta;
+    size_t i = task - 1;
+    const int64_t delta = units - hold[i];
+    hold[i] = units;
+    for (std::vector<int64_t>& level : sums) {
+      i /= kBlock;
+      level[i] += delta;
     }
+    total += delta;
   }
 
-  /// Rebuilds `tree` and `total` from `hold` in O(n).
-  void BuildTree() {
-    tree.assign(hold.size() + 1, 0);
+  /// Rebuilds `sums` and `total` from `hold` in O(n).
+  void BuildSums() {
+    sums.clear();
+    while (Top().size() > kBlock) {
+      sums.push_back(BlockSums(Top()));
+    }
     total = 0;
-    for (size_t node = 1; node < tree.size(); ++node) {
-      tree[node] += hold[node - 1];
-      total += hold[node - 1];
-      const size_t parent = node + LowBit(node);
-      if (parent < tree.size()) {
-        tree[parent] += tree[node];
-      }
+    for (const int64_t units : hold) {
+      total += units;
     }
   }
 
   /// The first task id whose prefix sum of `hold` exceeds `target` (>= 0),
-  /// or NextTask() if none does, by Fenwick descent. Weights are
-  /// non-negative, so prefixes ascend and a 0 entry is never first.
+  /// or NextTask() if none does: from the top level down, the block entry
+  /// whose running sum first exceeds what is left of `target`. Weights
+  /// are non-negative, so prefixes ascend and a 0 entry is never first.
   TaskId FirstAbove(int64_t target) const {
-    size_t node = 0;
-    for (size_t step = std::bit_floor(hold.size()); step > 0; step >>= 1) {
-      if (node + step < tree.size() && tree[node + step] <= target) {
-        node += step;
-        target -= tree[node];
+    size_t block = 0;
+    for (size_t level = sums.size() + 1; level-- > 0;) {
+      const std::vector<int64_t>& entries =
+          level == 0 ? hold : sums[level - 1];
+      size_t i = block * kBlock;
+      const size_t end = std::min(i + kBlock, entries.size());
+      while (i < end && entries[i] <= target) {
+        target -= entries[i];
+        ++i;
       }
+      if (i == end) {
+        return NextTask();  // only at the top: target >= total
+      }
+      block = i;
     }
-    return node + 1;
+    return block + 1;
   }
 };
 
@@ -237,7 +267,7 @@ StatusOr<TaskId> SharedMarket::PostTask(uint64_t job_id,
   task.rep_prices = rep_prices;
   task.outcome.id = id;
   task.outcome.posted_time = now_;
-  task.current_posted_time = now_;
+  task.Expose(now_);
   job->Append(WeightUnits(rep_prices.front()));
   ++open_tasks_;
   ++counts_.tasks_posted;
@@ -264,6 +294,7 @@ Status SharedMarket::Reprice(uint64_t job_id, TaskId task_id, int new_price) {
   for (size_t i = task->CurrentSlot(); i < task->rep_prices.size(); ++i) {
     task->rep_prices[i] = new_price;
   }
+  task->SyncCurrentPrice();
   if (task->awaiting_acceptance) {
     job->SetHold(task_id, WeightUnits(new_price));
   }
@@ -371,8 +402,7 @@ void SharedMarket::ApplyCompletion(const MarketEvent& event) {
     job->tasks.Complete(event.task);
     --open_tasks_;
   } else {
-    task->awaiting_acceptance = true;
-    task->current_posted_time = now_;
+    task->Expose(now_);
     job->SetHold(event.task, WeightUnits(task->CurrentPrice()));
   }
 }
@@ -452,6 +482,20 @@ std::vector<TaskId> SharedMarket::OpenTaskIds(uint64_t job_id) const {
   job->tasks.ForEachOpenInIdOrder(
       [&ids](TaskId id, const OpenTask&) { ids.push_back(id); });
   return ids;
+}
+
+std::vector<SharedMarket::OnHoldTask> SharedMarket::OnHoldTasks(
+    uint64_t job_id) const {
+  const SharedJob* job = FindJob(job_id);
+  HTUNE_CHECK(job != nullptr);
+  std::vector<OnHoldTask> on_hold;
+  on_hold.reserve(job->tasks.open_count());
+  job->tasks.ForEachOpenInIdOrder([&on_hold](TaskId id, const OpenTask& task) {
+    if (task.awaiting_acceptance) {
+      on_hold.push_back({id, task.current_posted_time, task.CurrentPrice()});
+    }
+  });
+  return on_hold;
 }
 
 StatusOr<double> SharedMarket::OnHoldSince(uint64_t job_id,
@@ -611,6 +655,7 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
           task->current_posted_time));
       HTUNE_RETURN_IF_ERROR(DecodeTaskOutcome(d, task->outcome));
       HTUNE_RETURN_IF_ERROR(audit.AddTask(*task));
+      task->RebuildTransient();
       for (const int price : task->rep_prices) {
         HTUNE_RETURN_IF_ERROR(CheckRepPrice(*config_.curve, price));
       }
@@ -637,7 +682,7 @@ Status SharedMarket::RestoreState(std::string_view bytes) {
       }
     }
     HTUNE_RETURN_IF_ERROR(DecodeTraceEvents(d, job.trace));
-    job.BuildTree();
+    job.BuildSums();
     jobs.push_back(std::move(job));
   }
   HTUNE_RETURN_IF_ERROR(d.ExpectDone());

@@ -75,20 +75,21 @@ inline constexpr size_t kMaxOpenSharedTasks = size_t{1} << 22;
 ///    int64 sums never overflow.
 ///  - Each job keeps its tasks in a TaskStore, and the units of every task
 ///    id it has posted (0 while the task is processed and once it
-///    completed) in a Fenwick tree spanning those ids, with an exact int64
-///    total. A completed id adds 0 to every prefix, and integer sums do
-///    not depend on their order, so a running and a restored engine give
-///    the same totals and prefixes; no sum order needs pinning.
+///    completed) under eight-way block sums spanning those ids, with an
+///    exact int64 total. A completed id adds 0 to every prefix, and
+///    integer sums do not depend on their order, so a running and a
+///    restored engine give the same totals and prefixes; no sum order
+///    needs pinning.
 ///  - Selection: W is the left-to-right double sum over jobs of their
 ///    totals, each read as units * 2^-20; the threshold and the walk over
 ///    jobs are double arithmetic on those totals. Inside the chosen job
 ///    the task is the first id whose unit prefix exceeds
-///    floor(local * 2^20), found by Fenwick descent; when rounding puts
-///    the local coordinate on the job's total, it is the first id whose
-///    prefix reaches the total. While W stays below 2^33 every job total
-///    and every partial sum of W is exact, so this is bit for bit the
-///    selection a float left-to-right walk over the same grid weights
-///    makes.
+///    floor(local * 2^20), found by descending the block sums; when
+///    rounding puts the local coordinate on the job's total, it is the
+///    first id whose prefix reaches the total. While W stays below 2^33
+///    every job total and every partial sum of W is exact, so this is bit
+///    for bit the selection a float left-to-right walk over the same grid
+///    weights makes.
 ///  - RNG streams: the shared stream owns the arrival clock and selection
 ///    uniforms (two draws per arrival, independent of who competes); each
 ///    job owns a private stream for its answer-error and processing-time
@@ -149,8 +150,19 @@ class SharedMarket {
   long TotalSpent(uint64_t job_id) const;
   const std::vector<TraceEvent>& Trace(uint64_t job_id) const;
   size_t OpenTaskCount(uint64_t job_id) const;
-  /// Ids of the job's open tasks, in posting order (the review-walk order).
+  /// Ids of the job's open tasks, in posting order.
   std::vector<TaskId> OpenTaskIds(uint64_t job_id) const;
+
+  /// An on-hold task as a straggler review reads it: what OnHoldSince and
+  /// CurrentPrice return for it.
+  struct OnHoldTask {
+    TaskId id = 0;
+    double since = 0.0;
+    int price = 0;
+  };
+  /// The job's on-hold tasks in ascending id (the review-walk order), read
+  /// in one pass over its task store.
+  std::vector<OnHoldTask> OnHoldTasks(uint64_t job_id) const;
 
   /// Time the current repetition of the task was (re)posted;
   /// FailedPrecondition while it is being processed or after completion,

@@ -75,8 +75,24 @@ FLEET_FIXTURE = {
     },
 }
 
+LARGE_GANG = {
+    "jobs": 16,
+    "tasks": 48000,
+    "repetitions": 3,
+    "review_interval": 50.0,
+    "repeats": 7,
+    "trace_events": 336000,
+    "outcome_crc32c": "0xefbd971d",
+    "wall_seconds": 0.168,
+    "ns_per_event": 0.168 * 1e9 / 336000,
+    "host": "vm",
+    "num_cpus": 4,
+    "build_type": "Release",
+    "commit": "abc123",
+}
+
 SHARED_FIXTURE = {
-    "schema_version": 1,
+    "schema_version": 2,
     "smoke": False,
     "jobs": 1024,
     "min_jobs_for_gate": 1000,
@@ -92,7 +108,19 @@ SHARED_FIXTURE = {
         "observed_ratio": 2.02 / 4.0,
         "tolerance": 0.05,
     },
+    "large_gang": LARGE_GANG,
 }
+
+
+def with_baseline(**changes):
+    """SHARED_FIXTURE whose large gang carries a baseline entry."""
+    fixture = copy.deepcopy(SHARED_FIXTURE)
+    baseline = copy.deepcopy(LARGE_GANG)
+    baseline.update({"wall_seconds": 0.21, "ns_per_event": 0.21 * 1e9 / 336000,
+                     "commit": "parent"})
+    baseline.update(changes)
+    fixture["large_gang"]["baseline"] = baseline
+    return fixture
 
 
 class OverheadGateTest(unittest.TestCase):
@@ -275,10 +303,47 @@ class SharedValidatorTest(unittest.TestCase):
 
     def test_wrong_schema_version_fails(self):
         fixture = copy.deepcopy(SHARED_FIXTURE)
-        fixture["schema_version"] = 2
+        fixture["schema_version"] = 1
         path = write_json(self.dir.name, "shared.json", fixture)
         with self.assertRaises(SystemExit):
             bench_report.load_shared(path)
+
+    def test_missing_large_gang_fails(self):
+        fixture = copy.deepcopy(SHARED_FIXTURE)
+        del fixture["large_gang"]
+        path = write_json(self.dir.name, "shared.json", fixture)
+        with self.assertRaises(SystemExit):
+            bench_report.load_shared(path)
+
+    def test_inconsistent_ns_per_event_fails(self):
+        fixture = copy.deepcopy(SHARED_FIXTURE)
+        fixture["large_gang"]["ns_per_event"] *= 1.01
+        path = write_json(self.dir.name, "shared.json", fixture)
+        with self.assertRaises(SystemExit):
+            bench_report.load_shared(path)
+
+    def test_full_run_from_a_debug_build_fails(self):
+        fixture = copy.deepcopy(SHARED_FIXTURE)
+        fixture["large_gang"]["build_type"] = "Debug"
+        path = write_json(self.dir.name, "shared.json", fixture)
+        with self.assertRaises(SystemExit):
+            bench_report.load_shared(path)
+
+    def test_baseline_digests_with_speedup(self):
+        path = write_json(self.dir.name, "shared.json", with_baseline())
+        digest = bench_report.shared_digest(bench_report.load_shared(path))
+        self.assertIn("large_gang jobs=16", digest)
+        self.assertIn("speedup=1.25", digest)
+
+    def test_baseline_of_another_gang_fails(self):
+        for changes in ({"outcome_crc32c": "0x00000001"},
+                        {"trace_events": 335999,
+                         "ns_per_event": 0.21 * 1e9 / 335999},
+                        {"host": "elsewhere"}, {"num_cpus": 8}):
+            path = write_json(self.dir.name, "shared.json",
+                              with_baseline(**changes))
+            with self.assertRaises(SystemExit, msg=str(changes)):
+                bench_report.load_shared(path)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 // framing and torn-tail recovery, the exactly-once budget ledger, the
 // market snapshot codec, and MarketSimulator capture/restore determinism.
 
+#include <bit>
+#include <climits>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -15,6 +17,7 @@
 #include "durability/crc32c.h"
 #include "durability/journal.h"
 #include "durability/ledger.h"
+#include "durability/records.h"
 #include "durability/recovery.h"
 #include "durability/serialize.h"
 #include "durability/snapshot.h"
@@ -98,6 +101,123 @@ TEST(Crc32cTest, MatchesBitwiseReferenceOnOneMebibyte) {
           << offset << " split " << split;
     }
   }
+}
+
+// The two implementations ExtendCrc32c picks between, called directly so
+// one host checks both: the check value, then every length 0-4096 at every
+// start offset 0-7 and across split points, each path continuing the
+// other's running checksum.
+TEST(Crc32cTest, BothPathsGiveTheCheckValue) {
+  EXPECT_EQ(crc32c_internal::ExtendPortable(0, "123456789"), 0xE3069283u);
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this CPU";
+  }
+  EXPECT_EQ(crc32c_internal::ExtendHardware(0, "123456789"), 0xE3069283u);
+}
+
+TEST(Crc32cTest, HardwareAndPortablePathsAgree) {
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this CPU";
+  }
+  using crc32c_internal::ExtendHardware;
+  using crc32c_internal::ExtendPortable;
+  constexpr size_t kMaxLength = 4096;
+  const std::string pool = RandomBytes(kMaxLength + 8, 41);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= kMaxLength; ++length) {
+      const std::string_view data =
+          std::string_view(pool).substr(offset, length);
+      const uint32_t expected = ExtendPortable(0, data);
+      ASSERT_EQ(ExtendHardware(0, data), expected) << offset << "+" << length;
+      // Every split of the short buffers, a spread of them on long ones.
+      std::vector<size_t> splits = {0, 1, 7, 8, 9, length / 2, length};
+      if (length <= 64) {
+        splits.clear();
+        for (size_t split = 0; split <= length; ++split) {
+          splits.push_back(split);
+        }
+      }
+      for (const size_t split : splits) {
+        if (split > length) continue;
+        const std::string_view head = data.substr(0, split);
+        const std::string_view tail = data.substr(split);
+        ASSERT_EQ(ExtendHardware(ExtendPortable(0, head), tail), expected)
+            << offset << "+" << length << " split " << split;
+        ASSERT_EQ(ExtendPortable(ExtendHardware(0, head), tail), expected)
+            << offset << "+" << length << " split " << split;
+      }
+    }
+  }
+}
+
+// Every Put* writes the little-endian bytes spelled out by hand here, the
+// on-disk format whatever the host's order.
+TEST(SerializeTest, PutsWriteLittleEndianBytes) {
+  const auto bytes = [](auto put) {
+    Encoder e;
+    put(e);
+    return e.Release();
+  };
+  using namespace std::string_literals;
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutU8(0xAB); }), "\xAB"s);
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutBool(true); }), "\x01"s);
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutBool(false); }), "\x00"s);
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutU32(0x01020304u); }),
+            "\x04\x03\x02\x01"s);
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutU64(0x0102030405060708ull); }),
+            "\x08\x07\x06\x05\x04\x03\x02\x01"s);
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutU64(UINT64_MAX); }),
+            std::string(8, '\xFF'));
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutI32(-2); }), "\xFE\xFF\xFF\xFF"s);
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutI32(INT32_MIN); }),
+            "\x00\x00\x00\x80"s);
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutI64(-1); }), std::string(8, '\xFF'));
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutI64(INT64_MIN); }),
+            "\x00\x00\x00\x00\x00\x00\x00\x80"s);
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutDouble(1.0); }),
+            "\x00\x00\x00\x00\x00\x00\xF0\x3F"s);
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutDouble(-0.0); }),
+            "\x00\x00\x00\x00\x00\x00\x00\x80"s);
+  // A quiet NaN and a signalling one keep their payload bits.
+  EXPECT_EQ(bytes([](Encoder& e) {
+              e.PutDouble(std::bit_cast<double>(0x7FF8000000000123ull));
+            }),
+            "\x23\x01\x00\x00\x00\x00\xF8\x7F"s);
+  EXPECT_EQ(bytes([](Encoder& e) {
+              e.PutDouble(std::bit_cast<double>(0xFFF0000000ABCDEFull));
+            }),
+            "\xEF\xCD\xAB\x00\x00\x00\xF0\xFF"s);
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutString("ab"); }),
+            "\x02\x00\x00\x00\x00\x00\x00\x00"
+            "ab"s);
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutI32Vector({1, -1}); }),
+            "\x02\x00\x00\x00\x00\x00\x00\x00"
+            "\x01\x00\x00\x00\xFF\xFF\xFF\xFF"s);
+  EXPECT_EQ(bytes([](Encoder& e) { e.PutDoubleVector({-2.0}); }),
+            "\x01\x00\x00\x00\x00\x00\x00\x00"
+            "\x00\x00\x00\x00\x00\x00\x00\xC0"s);
+}
+
+// A record framed in place is byte for byte the record framed after
+// encoding, and EncodedRecordSize is the size EncodeRecord returns.
+TEST(JournalTest, RecordFrameMatchesFramedPayload) {
+  const JobRunEndRecord run_end{"report bytes", std::string(1000, '\x07')};
+  EXPECT_EQ(EncodedRecordSize(run_end), EncodeRecord(run_end).size());
+  EXPECT_EQ(EncodeRecordFrame(JournalRecordType::kRunEnd, run_end),
+            EncodeJournalRecord(JournalRecordType::kRunEnd,
+                                EncodeRecord(run_end)));
+  ServiceSnapshotRecord snapshot;
+  snapshot.review_epoch = 9;
+  snapshot.market = "market blob";
+  snapshot.sessions = {{1, "a"}, {2, "bc"}};
+  EXPECT_EQ(EncodedRecordSize(snapshot), EncodeRecord(snapshot).size());
+  EXPECT_EQ(EncodeRecordFrame(JournalRecordType::kSnapshot, snapshot),
+            EncodeJournalRecord(JournalRecordType::kSnapshot,
+                                EncodeRecord(snapshot)));
+  const PostRecord post{4, 1, {3, 3, 5}};
+  EXPECT_EQ(EncodedRecordSize(post), EncodeRecord(post).size());
+  EXPECT_EQ(EncodeRecordFrame(JournalRecordType::kPost, post),
+            EncodeJournalRecord(JournalRecordType::kPost, EncodeRecord(post)));
 }
 
 TEST(SerializeTest, RoundTripsEveryType) {

@@ -61,6 +61,13 @@ class FixtureTripletTest(unittest.TestCase):
         rc, out = run_cli("snapshot/clean", "snapshot")
         self.assertEqual(rc, 0, out)
 
+    def test_snapshot_nested_type_is_not_its_outer_class(self):
+        # Rule B pairs a codec with the parameter's own type: Ledger in
+        # `Ledger::Entry&` only qualifies Entry.
+        rc, out = run_cli("snapshot/nested_codec", "snapshot")
+        self.assertEqual(rc, 0, out)
+        self.assertNotIn("Ledger::total", out)
+
     def test_lock_reversed_pair_is_a_cycle(self):
         rc, out = run_cli("lock/violating", "lock")
         self.assertEqual(rc, 1, out)

@@ -8,14 +8,18 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "durability/journal.h"
 #include "durability/manifest.h"
+#include "control/dilution.h"
 #include "durability/records.h"
+#include "durability/serialize.h"
 #include "fleet/supervisor.h"
+#include "model/price_rate_curve.h"
 #include "platform/service.h"
 #include "platform/session.h"
 #include "platform/wire.h"
@@ -374,6 +378,216 @@ TEST(SharedServiceTest, ReplayVerifiesJournaledRunEndBitwise) {
     EXPECT_EQ(outcome.detail, "shared replay");
     EXPECT_EQ(provider.Find(FleetJobJournalPath(outcome.job_id))->bytes(),
               journal_bytes.at(outcome.job_id));
+  }
+}
+
+// The three-lookup straggler review: per open task, OpenTaskIds, then
+// OnHoldSince and CurrentPrice, repricing as it goes and re-reading the
+// budget per straggler. The oracle JobSession::Review's one pass must
+// match.
+struct LegacyReviewer {
+  uint64_t job_id = 0;
+  JobSessionConfig config;
+  std::vector<int> base_price;  // by task id - 1
+  long budget = 0;
+  uint64_t reviews = 0;
+  uint64_t stragglers = 0;
+  uint64_t escalations = 0;
+  uint64_t capped = 0;    // stragglers held back by max_escalation
+  uint64_t unfunded = 0;  // stragglers held back by the budget
+
+  Status Review(SharedMarket& market, const PriceRateCurve& diluted,
+                std::vector<std::pair<TaskId, int>>& escalated) {
+    ++reviews;
+    const double now = market.now();
+    for (const TaskId task : market.OpenTaskIds(job_id)) {
+      const auto since = market.OnHoldSince(job_id, task);
+      if (!since.ok()) {
+        continue;
+      }
+      const auto price = market.CurrentPrice(job_id, task);
+      HTUNE_RETURN_IF_ERROR(price.status());
+      const double rate = diluted.Rate(static_cast<double>(*price));
+      if (rate <= 0.0 || now - *since <= config.straggler_factor / rate) {
+        continue;
+      }
+      ++stragglers;
+      const int base = base_price[static_cast<size_t>(task) - 1];
+      const bool within_cap = *price - base < config.max_escalation;
+      const bool within_budget = market.TotalSpent(job_id) < budget;
+      capped += within_cap ? 0 : 1;
+      unfunded += within_cap && !within_budget ? 1 : 0;
+      if (within_cap && within_budget) {
+        HTUNE_RETURN_IF_ERROR(market.Reprice(job_id, task, *price + 1));
+        escalated.emplace_back(task, *price + 1);
+        ++escalations;
+      }
+    }
+    return OkStatus();
+  }
+
+  std::string Counters() const {
+    Encoder e;
+    e.PutU32(1);  // the session-counters layout version
+    PutFields(e, reviews, stragglers, escalations);
+    return e.Release();
+  }
+};
+
+// Each open task's current price, in id order.
+std::vector<std::pair<TaskId, int>> Prices(const SharedMarket& market,
+                                           uint64_t job_id) {
+  std::vector<std::pair<TaskId, int>> prices;
+  for (const TaskId task : market.OpenTaskIds(job_id)) {
+    prices.emplace_back(task, *market.CurrentPrice(job_id, task));
+  }
+  return prices;
+}
+
+// The one-pass review against the three-lookup oracle, side by side on two
+// identical markets: three jobs whose groups plan different prices, a low
+// straggler factor, an escalation cap of 2 and ceilings the escalations
+// reach. After every epoch both markets capture the same bytes and each
+// review escalated the same tasks in the same order (the one-pass side's
+// list is its price changes in id order, the order its loop reprices in);
+// at the end the session reports agree.
+TEST(JobSessionReviewTest, OnePassReviewMatchesPerTaskLookups) {
+  SharedMarketConfig market_config;
+  market_config.worker_arrival_rate = 30.0;
+  market_config.worker_error_prob = 0.05;
+  market_config.curve = std::make_shared<LinearCurve>(1.0, 0.0);
+  market_config.seed = 17;
+  SharedMarket one_pass(market_config);
+  SharedMarket lookups(market_config);
+
+  JobSessionConfig session_config;
+  session_config.straggler_factor = 1.0;
+  session_config.max_escalation = 2;
+  std::vector<JobSession> sessions;   // reviewed in one pass, on one_pass
+  std::vector<JobSession> reference;  // posted and reported, on lookups
+  std::vector<LegacyReviewer> legacy;
+  for (uint64_t id = 1; id <= 3; ++id) {
+    FleetJobSpec spec;
+    spec.name = "job" + std::to_string(id);
+    const int tasks = 20 + 10 * static_cast<int>(id);
+    const long minimum = 3L * tasks + 2L * tasks;
+    spec.spec_text =
+        "budget = " + std::to_string(minimum * 8 / 3) +
+        "\nseed = " + std::to_string(70 + id) +
+        "\n\n[group]\nname = fast\ntasks = " + std::to_string(tasks) +
+        "\nrepetitions = 3\nprocessing_rate = 4.0\ncurve = linear 1.0 0.0\n"
+        "\n[group]\nname = slow\ntasks = " + std::to_string(tasks) +
+        "\nrepetitions = 2\nprocessing_rate = 1.0\n"
+        "curve = quadratic 0.02 0.5\n";
+    // A ceiling a little above the plan's spend: escalations use it up.
+    spec.ceiling = minimum * 8 / 3 + 10 * static_cast<int64_t>(id);
+    session_config.job_id = id;
+    auto session = JobSession::Create(spec, session_config);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    auto twin = JobSession::Create(spec, session_config);
+    ASSERT_TRUE(twin.ok());
+    ASSERT_TRUE(one_pass.AddJob(id, session->seed()).ok());
+    ASSERT_TRUE(lookups.AddJob(id, twin->seed()).ok());
+    ASSERT_TRUE(session->Post(one_pass).ok());
+    ASSERT_TRUE(twin->Post(lookups).ok());
+
+    LegacyReviewer reviewer;
+    reviewer.job_id = id;
+    reviewer.config = session_config;
+    reviewer.budget = static_cast<long>(spec.ceiling);
+    for (const int price : session->group_prices()) {
+      reviewer.base_price.insert(reviewer.base_price.end(),
+                                 static_cast<size_t>(tasks), price);
+    }
+    sessions.push_back(std::move(*session));
+    reference.push_back(std::move(*twin));
+    legacy.push_back(std::move(reviewer));
+  }
+  ASSERT_NE(sessions[0].group_prices()[0], sessions[0].group_prices()[1]);
+
+  const double interval = 0.1;
+  uint64_t epoch = 0;
+  while (one_pass.OpenTaskCount() > 0) {
+    ASSERT_LT(epoch, 100000u);
+    ++epoch;
+    one_pass.RunUntil(static_cast<double>(epoch) * interval);
+    lookups.RunUntil(static_cast<double>(epoch) * interval);
+    const auto diluted = DiluteCurveForSharedMarket(
+        market_config.curve, market_config.worker_arrival_rate,
+        one_pass.TotalPostedWeight());
+    for (size_t j = 0; j < sessions.size(); ++j) {
+      if (sessions[j].Done(one_pass)) {
+        continue;
+      }
+      const uint64_t id = sessions[j].job_id();
+      const auto before = Prices(one_pass, id);
+      ASSERT_TRUE(sessions[j].Review(one_pass, *diluted).ok());
+      std::vector<std::pair<TaskId, int>> escalated;
+      for (const auto& [task, price] : before) {
+        const int now_price = *one_pass.CurrentPrice(id, task);
+        if (now_price != price) {
+          escalated.emplace_back(task, now_price);
+        }
+      }
+      std::vector<std::pair<TaskId, int>> expected;
+      ASSERT_TRUE(legacy[j].Review(lookups, *diluted, expected).ok());
+      ASSERT_EQ(escalated, expected) << "job " << id << " epoch " << epoch;
+    }
+    ASSERT_EQ(one_pass.CaptureState(), lookups.CaptureState())
+        << "epoch " << epoch;
+  }
+  EXPECT_GE(epoch, 200u);
+
+  uint64_t escalations = 0;
+  uint64_t capped = 0;
+  uint64_t unfunded = 0;
+  for (size_t j = 0; j < sessions.size(); ++j) {
+    ASSERT_TRUE(reference[j].RestoreCounters(legacy[j].Counters()).ok());
+    EXPECT_EQ(EncodeSessionReport(sessions[j].Report(one_pass)),
+              EncodeSessionReport(reference[j].Report(lookups)));
+    escalations += legacy[j].escalations;
+    capped += legacy[j].capped;
+    unfunded += legacy[j].unfunded;
+  }
+  // Not vacuous: escalations happened, and both the cap and the budget
+  // held some stragglers back.
+  EXPECT_GT(escalations, 0u);
+  EXPECT_GT(capped, 0u);
+  EXPECT_GT(unfunded, 0u);
+}
+
+// Restore rebuilds a job's block sums from its tasks, where a running
+// market built them one post at a time. With 700 tasks a job has three
+// levels of sums above its per-task weights; at each checkpoint a market
+// restored from the running one's snapshot, repriced alike on both sides
+// of block boundaries, must select exactly what the running one selects.
+TEST(SharedMarketBlockSumsTest, RestoredMarketSelectsAsTheRunningOne) {
+  SharedMarketConfig config;
+  config.worker_arrival_rate = 40.0;
+  config.worker_error_prob = 0.1;
+  config.curve = std::make_shared<LinearCurve>(1.0, 0.0);
+  config.seed = 23;
+  SharedMarket running(config);
+  for (uint64_t id = 1; id <= 2; ++id) {
+    ASSERT_TRUE(running.AddJob(id, 100 + id).ok());
+    for (int t = 0; t < 700; ++t) {
+      const int price = 1 + (t * 7 + static_cast<int>(id)) % 5;
+      ASSERT_TRUE(running.PostTask(id, {price, price + 1}, 3.0).ok());
+    }
+  }
+  double now = 0.0;
+  for (int checkpoint = 0; running.OpenTaskCount() > 0; ++checkpoint) {
+    ASSERT_LT(checkpoint, 1000);
+    SharedMarket restored(config);
+    ASSERT_TRUE(restored.RestoreState(running.CaptureState()).ok());
+    for (const TaskId task : {8, 9, 64, 65, 512, 513, 700}) {
+      EXPECT_EQ(running.Reprice(1, task, 6 + checkpoint % 3).code(),
+                restored.Reprice(1, task, 6 + checkpoint % 3).code());
+    }
+    now += 5.0;
+    running.RunUntil(now);
+    restored.RunUntil(now);
+    ASSERT_EQ(restored.CaptureState(), running.CaptureState()) << now;
   }
 }
 

@@ -41,9 +41,11 @@ after the bench smoke run and against the committed BENCH_fleet.json.
 --shared parses a bench/shared_market --out=PATH export, re-checks the
 gates it encodes (>= min_jobs_for_gate concurrent jobs on one market when
 not a smoke run; every posted task completed; the observed competition
-ratio matches the thinning model's prediction), prints a canonical
-digest, and exits nonzero on any violation — CI's server job drives this
-mode and against the committed BENCH_shared.json.
+ratio matches the thinning model's prediction; the large gang's
+ns_per_event re-derives from its wall time, and a baseline entry ran the
+same gang, with the same outcome CRC, on the same host and build type),
+prints a canonical digest, and exits nonzero on any violation — CI's
+server job drives this mode and against the committed BENCH_shared.json.
 
 Overhead and competition gates whose denominator recorded as 0 (a smoke
 run finishing inside the timer's resolution) are reported as skipped on
@@ -437,7 +439,7 @@ def fleet_digest(data):
     return "\n".join(lines)
 
 
-SHARED_SCHEMA_VERSION = 1
+SHARED_SCHEMA_VERSION = 2
 
 # bench/shared_market exports its doubles at %.17g, so re-derivation is
 # exact up to one ulp of quotient rounding.
@@ -501,6 +503,7 @@ def load_shared(path):
     if comp["tolerance"] <= 0:
         raise SystemExit(f"{path}: competition.tolerance is not positive: "
                          f"{comp['tolerance']!r}")
+    check_large_gang(path, data.get("large_gang"), data["smoke"])
     if comp["isolated_rate"] <= 0:
         # A smoke run can end before the isolated reference accepts
         # anything; the ratio is then 0/0 and the fairness gate has no
@@ -528,6 +531,53 @@ def load_shared(path):
     return data
 
 
+# The fields that name the gang a large_gang entry ran: a baseline must
+# match them, or the two wall times time different work.
+LARGE_GANG_SHAPE = ("jobs", "tasks", "repetitions", "review_interval",
+                    "trace_events", "outcome_crc32c")
+
+
+def check_large_gang(path, gang, smoke, where="large_gang"):
+    """Validates a large_gang entry, and its baseline entry if present."""
+    if not isinstance(gang, dict):
+        raise SystemExit(f"{path}: missing '{where}' section")
+    for key in ("jobs", "tasks", "repetitions", "repeats", "trace_events",
+                "num_cpus"):
+        if not isinstance(gang.get(key), int) or gang[key] <= 0:
+            raise SystemExit(f"{path}: {where}.{key} is not a positive "
+                             f"integer: {gang.get(key)!r}")
+    for key in ("review_interval", "wall_seconds", "ns_per_event"):
+        value = gang.get(key)
+        if not isinstance(value, (int, float)) or not math.isfinite(value) \
+                or value <= 0:
+            raise SystemExit(f"{path}: {where}.{key} is not a positive "
+                             f"finite number: {value!r}")
+    for key in ("outcome_crc32c", "host", "build_type", "commit"):
+        if not isinstance(gang.get(key), str) or not gang[key]:
+            raise SystemExit(f"{path}: {where}.{key} is not a non-empty "
+                             f"string: {gang.get(key)!r}")
+    derived = gang["wall_seconds"] * 1e9 / gang["trace_events"]
+    if abs(derived - gang["ns_per_event"]) > SHARED_RATIO_TOLERANCE * derived:
+        raise SystemExit(
+            f"{path}: {where}.ns_per_event {gang['ns_per_event']!r} does not "
+            f"equal wall_seconds*1e9/trace_events ({derived!r})")
+    # A perf figure counts only from an optimized build.
+    if not smoke and gang["build_type"] != "Release":
+        raise SystemExit(f"{path}: {where} ran a {gang['build_type']!r} "
+                         "build, not Release")
+    baseline = gang.get("baseline")
+    if baseline is None:
+        return
+    check_large_gang(path, baseline, smoke, where + ".baseline")
+    if "baseline" in baseline:
+        raise SystemExit(f"{path}: {where}.baseline has its own baseline")
+    for key in LARGE_GANG_SHAPE + ("host", "num_cpus", "build_type"):
+        if baseline[key] != gang[key]:
+            raise SystemExit(
+                f"{path}: {where}.baseline.{key} {baseline[key]!r} differs "
+                f"from {gang[key]!r}: not the same gang on the same host")
+
+
 def shared_digest(data):
     """Canonical one-line-per-fact text form of a shared-market export."""
     comp = data["competition"]
@@ -545,6 +595,16 @@ def shared_digest(data):
            comp["expected_ratio"], comp["observed_ratio"],
            comp["tolerance"]),
     ]
+    gang = data["large_gang"]
+    line = ("large_gang jobs=%d tasks=%d trace_events=%d outcome_crc32c=%s "
+            "ns_per_event=%.17g"
+            % (gang["jobs"], gang["tasks"], gang["trace_events"],
+               gang["outcome_crc32c"], gang["ns_per_event"]))
+    if "baseline" in gang:
+        line += " baseline_ns_per_event=%.17g speedup=%.17g" % (
+            gang["baseline"]["ns_per_event"],
+            gang["baseline"]["ns_per_event"] / gang["ns_per_event"])
+    lines.append(line)
     return "\n".join(lines)
 
 

@@ -108,9 +108,16 @@ def _param_segments(params: str) -> List[str]:
     return segments
 
 
+def _names_type(segment: str, name: str) -> bool:
+    """The parameter's own type is `name`: a whole-word match that is not
+    the qualifier of a nested type (`MarketState::Event&` names Event)."""
+    return any(not segment[m.end():].lstrip().startswith("::")
+               for m in word_re(name).finditer(segment))
+
+
 def _encode_takes(segment: str, name: str) -> bool:
     """Read-only parameter of the type: const-ref or by value."""
-    if not word_re(name).search(segment) or "*" in segment:
+    if not _names_type(segment, name) or "*" in segment:
         return False
     if "&" in segment:
         return "const" in segment
@@ -119,7 +126,7 @@ def _encode_takes(segment: str, name: str) -> bool:
 
 def _decode_takes(segment: str, name: str) -> bool:
     """Mutable out-parameter of the type: non-const ref or pointer."""
-    if not word_re(name).search(segment):
+    if not _names_type(segment, name):
         return False
     if "const" in segment:
         return False
