@@ -2,6 +2,7 @@
 // inner loops whose constants determine whether the tuners are usable
 // interactively, plus market simulator event throughput.
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -162,6 +163,42 @@ void BM_HeterogeneousAllocatorManyGroups(benchmark::State& state) {
 BENCHMARK(BM_HeterogeneousAllocatorManyGroups)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
+// serve_plan_heavy's job shape: 24 groups of 1-3 tasks x 1-7 repetitions over
+// its three curves, at budget factor 8 (the same problem as the paper DP's
+// work-bound test).
+TuningProblem PlanHeavyProblem() {
+  std::vector<std::shared_ptr<const PriceRateCurve>> curves;
+  for (const char* spec : {"linear 0.5 0.5", "quadratic 0.02 0.5", "log 2"}) {
+    curves.push_back(*ParseCurveSpec(spec));
+  }
+  Random rng(31);
+  TuningProblem problem;
+  for (int g = 0; g < 24; ++g) {
+    TaskGroup group;
+    group.name = "p" + std::to_string(g);
+    group.num_tasks = 1 + static_cast<int>(rng.UniformInt(3));
+    group.repetitions = 1 + static_cast<int>(rng.UniformInt(7));
+    group.processing_rate = 1.0 + static_cast<double>(rng.UniformInt(4));
+    group.curve = curves[static_cast<size_t>(g % 3)];
+    problem.groups.push_back(std::move(group));
+  }
+  problem.budget =
+      std::lround(static_cast<double>(problem.MinimumBudget()) * 8.0);
+  return problem;
+}
+
+// One plan_heavy job's paper-DP solve on a warm kernel cache, the state a
+// serving process reaches after its first few jobs.
+void BM_RepetitionAllocatorPlanHeavy(benchmark::State& state) {
+  const TuningProblem problem = PlanHeavyProblem();
+  const RepetitionAllocator tuner;
+  benchmark::DoNotOptimize(tuner.SolvePrices(problem));  // warm the cache
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tuner.SolvePrices(problem));
+  }
+}
+BENCHMARK(BM_RepetitionAllocatorPlanHeavy)->Unit(benchmark::kMicrosecond);
+
 // Warm-path cost of one memoized kernel lookup.
 void BM_LatencyCacheHit(benchmark::State& state) {
   const auto curve = BenchCurve();
@@ -268,4 +305,11 @@ BENCHMARK(BM_MonteCarloSampling);
 }  // namespace
 }  // namespace htune
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("build_type", HTUNE_BUILD_TYPE);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -7,15 +7,21 @@
 
 namespace htune {
 
-double LatencyKernelCache::Phase1(
+LatencyKernelCache::Key LatencyKernelCache::MakeKey(
     const GroupShape& shape,
     const std::shared_ptr<const PriceRateCurve>& curve, int price) {
   HTUNE_CHECK(curve != nullptr);
   HTUNE_CHECK_GE(price, 1);
   const double rate = curve->Rate(static_cast<double>(price));
   HTUNE_CHECK_GT(rate, 0.0);
-  const Key key{shape.num_tasks, shape.repetitions,
-                std::bit_cast<uint64_t>(rate)};
+  return Key{shape.num_tasks, shape.repetitions,
+             std::bit_cast<uint64_t>(rate)};
+}
+
+double LatencyKernelCache::Phase1(
+    const GroupShape& shape,
+    const std::shared_ptr<const PriceRateCurve>& curve, int price) {
+  const Key key = MakeKey(shape, curve, price);
   Shard& shard = shards_[KeyHash()(key) % kShards];
   {
     MutexLock lock(shard.mu);
@@ -30,9 +36,24 @@ double LatencyKernelCache::Phase1(
   // The span rides the miss path only, so the hit path stays untouched and
   // span cost is dwarfed by the quadrature it times.
   HTUNE_OBS_SPAN("cache.quadrature_eval");
-  const double value = ExpectedGroupOnHoldLatencyAtRate(shape, rate);
+  const double value = ExpectedGroupOnHoldLatencyAtRate(
+      shape, std::bit_cast<double>(key.rate_bits));
   MutexLock lock(shard.mu);
   return shard.map.emplace(key, value).first->second;
+}
+
+bool LatencyKernelCache::TryPhase1(
+    const GroupShape& shape,
+    const std::shared_ptr<const PriceRateCurve>& curve, int price,
+    double* value) const {
+  const Key key = MakeKey(shape, curve, price);
+  Shard& shard = shards_[KeyHash()(key) % kShards];
+  MutexLock lock(shard.mu);
+  const auto it = shard.map.find(key);
+  if (it == shard.map.end()) return false;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  *value = it->second;
+  return true;
 }
 
 void LatencyKernelCache::Clear() {

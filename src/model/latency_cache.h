@@ -44,6 +44,13 @@ class LatencyKernelCache {
                 const std::shared_ptr<const PriceRateCurve>& curve,
                 int price);
 
+  /// Hit-only lookup: on a hit stores the cached bits in `*value`, counts one
+  /// hit and returns true. On a miss returns false and inserts and counts
+  /// nothing, so a caller can gather its misses and fill them elsewhere.
+  bool TryPhase1(const GroupShape& shape,
+                 const std::shared_ptr<const PriceRateCurve>& curve, int price,
+                 double* value) const;
+
   /// Drops every entry and counter.
   void Clear();
 
@@ -81,6 +88,11 @@ class LatencyKernelCache {
   };
 
   static constexpr size_t kShards = 16;
+
+  /// The key of (shape, curve(price)); checks the curve, price and rate.
+  static Key MakeKey(const GroupShape& shape,
+                     const std::shared_ptr<const PriceRateCurve>& curve,
+                     int price);
 
   struct Shard {
     Mutex mu;

@@ -1,7 +1,5 @@
 #include "tuning/group_latency_table.h"
 
-#include <utility>
-
 #include "common/check.h"
 #include "common/parallel.h"
 #include "model/latency_cache.h"
@@ -27,9 +25,7 @@ void GroupLatencyTable::EnsureCapacity(int max_price) const {
 
 void GroupLatencyTable::FillSlot(int price) const {
   const size_t index = static_cast<size_t>(price - 1);
-  GroupShape shape{group_.num_tasks, group_.repetitions,
-                   group_.processing_rate};
-  cache_[index] = GlobalLatencyCache().Phase1(shape, group_.curve, price);
+  cache_[index] = GlobalLatencyCache().Phase1(Shape(), group_.curve, price);
   computed_[index] = 1;
 }
 
@@ -43,18 +39,38 @@ double GroupLatencyTable::Phase1(int price) const {
   return cache_[index];
 }
 
-void GroupLatencyTable::Prewarm(int max_price) {
+void GroupLatencyTable::ProbeMissing(int max_price, SlotList* misses) const {
   HTUNE_CHECK_GE(max_price, 1);
-  HTUNE_OBS_SPAN("allocator.prewarm");
   EnsureCapacity(max_price);
-  std::vector<int> missing;
+  const GroupShape shape = Shape();
   for (int price = 1; price <= max_price; ++price) {
-    if (!computed_[static_cast<size_t>(price - 1)]) {
-      missing.push_back(price);
+    const size_t index = static_cast<size_t>(price - 1);
+    if (computed_[index]) continue;
+    if (GlobalLatencyCache().TryPhase1(shape, group_.curve, price,
+                                       &cache_[index])) {
+      computed_[index] = 1;
+    } else {
+      misses->emplace_back(this, price);
     }
   }
-  ParallelFor(missing.size(),
-              [this, &missing](size_t j) { FillSlot(missing[j]); });
+}
+
+void GroupLatencyTable::FillSlots(const SlotList& misses) {
+  ParallelFor(misses.size(), [&misses](size_t j) {
+    misses[j].first->FillSlot(misses[j].second);
+  });
+  HTUNE_OBS_COUNTER_ADD("allocator.prewarm_slots_filled", misses.size());
+}
+
+void GroupLatencyTable::Fill(int max_price) {
+  SlotList misses;
+  ProbeMissing(max_price, &misses);
+  FillSlots(misses);
+}
+
+void GroupLatencyTable::Prewarm(int max_price) {
+  HTUNE_OBS_SPAN("allocator.prewarm");
+  Fill(max_price);
 }
 
 std::vector<double> GroupLatencyTable::FlatPhase1(int max_price) const {
@@ -70,20 +86,11 @@ void PrewarmTables(std::vector<GroupLatencyTable>& tables,
                    const std::vector<int>& max_prices) {
   HTUNE_CHECK_EQ(tables.size(), max_prices.size());
   HTUNE_OBS_SPAN("allocator.prewarm");
-  std::vector<std::pair<GroupLatencyTable*, int>> jobs;
+  GroupLatencyTable::SlotList misses;
   for (size_t i = 0; i < tables.size(); ++i) {
-    HTUNE_CHECK_GE(max_prices[i], 1);
-    tables[i].EnsureCapacity(max_prices[i]);
-    for (int price = 1; price <= max_prices[i]; ++price) {
-      if (!tables[i].computed_[static_cast<size_t>(price - 1)]) {
-        jobs.emplace_back(&tables[i], price);
-      }
-    }
+    tables[i].ProbeMissing(max_prices[i], &misses);
   }
-  ParallelFor(jobs.size(), [&jobs](size_t j) {
-    jobs[j].first->FillSlot(jobs[j].second);
-  });
-  HTUNE_OBS_COUNTER_ADD("allocator.prewarm_slots_filled", jobs.size());
+  GroupLatencyTable::FillSlots(misses);
 }
 
 }  // namespace htune

@@ -1,5 +1,6 @@
 #include "tuning/repetition_allocator.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/check.h"
@@ -53,18 +54,27 @@ std::vector<int> RepetitionAllocator::SolvePaperDp(
   const long spare = problem.budget - problem.MinimumBudget();
 
   // Group i's price at any state is at most 1 + spare / u_i (every unit step
-  // costs u_i), and the marginal-gain lookup touches one price beyond.
-  // Prewarm that whole band in one parallel fan-out, then hoist the tables
-  // into flat arrays so the serial DP below is pure double indexing.
+  // costs u_i), and the marginal-gain lookup touches one price beyond. The
+  // loop reads E_i only at a state's price and the next one, so most of that
+  // range goes unread: start each group's flat array at prices 1..2 and
+  // double it the first time the loop reads past it, capped at the bound.
   std::vector<int> max_price(n);
+  std::vector<int> band(n, 2);
   for (size_t i = 0; i < n; ++i) {
     max_price[i] = static_cast<int>(1 + spare / unit_cost[i]) + 1;
   }
-  PrewarmTables(tables, max_price);
+  PrewarmTables(tables, band);
   std::vector<std::vector<double>> phase1(n);
   for (size_t i = 0; i < n; ++i) {
-    phase1[i] = tables[i].FlatPhase1(max_price[i]);
+    phase1[i] = tables[i].FlatPhase1(band[i]);
   }
+  // Widens group i's array to cover `price`. Runs inside the DP span, so the
+  // fill opens no span of its own and the layers never overlap.
+  const auto grow = [&](size_t i, int price) {
+    band[i] = std::min(std::max(2 * band[i], price), max_price[i]);
+    tables[i].Fill(band[i]);
+    phase1[i] = tables[i].FlatPhase1(band[i]);
+  };
 
   // Each DP state is an int32 root into a persistent price tree plus its
   // objective value — O(spare) state memory, no per-state vector copies.
@@ -89,6 +99,7 @@ std::vector<int> RepetitionAllocator::SolvePaperDp(
         if (unit_cost[i] > x) continue;
         const size_t from = static_cast<size_t>(x - unit_cost[i]);
         const int p = tree.PriceAt(root_at[from], i);
+        if (p + 1 > band[i]) grow(i, p + 1);
         const double candidate =
             objective_at[from] - (phase1[i][static_cast<size_t>(p)] -
                                   phase1[i][static_cast<size_t>(p) + 1]);

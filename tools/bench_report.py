@@ -7,9 +7,16 @@ Stdlib only; no third-party packages.
 
 Usage:
   tools/bench_report.py --bin build/bench/microbench --out BENCH_tuning.json \
-      [--min-time 0.1] [--extra-filter REGEX] [--metrics METRICS_JSON]
+      [--min-time 0.1] [--extra-filter REGEX] [--metrics METRICS_JSON] \
+      [--baseline-bin PATH --baseline-commit SHA]
   tools/bench_report.py --validate-metrics METRICS_JSON
   tools/bench_report.py --chaos CHAOS_JSON
+
+The report's context names the host, CPU count, the microbench's build type
+and the commit it was built from: this checkout's HEAD, suffixed -dirty
+when tracked files differ from it. --baseline-bin runs a second microbench,
+typically the same target built from the parent commit, with the same
+filter, and stores its context and benchmarks under "baseline".
 
 --metrics folds an observability export (htune_cli --metrics=PATH, schema
 version 1; see src/obs/export.h) into the report under a "metrics" key:
@@ -56,6 +63,7 @@ checks still run.
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -66,7 +74,42 @@ METRICS_SCHEMA_VERSION = 1
 FILTER = (
     "ManyGroups|LatencyCacheHit|ParallelForOverhead|ParallelMonteCarlo"
     "|BM_RepetitionAllocator/|BM_HeterogeneousAllocator/"
+    "|BM_RepetitionAllocatorPlanHeavy"
 )
+
+
+CONTEXT_KEYS = ("host_name", "num_cpus", "mhz_per_cpu", "build_type")
+
+
+def checkout_commit():
+    """This checkout's short HEAD, suffixed -dirty if tracked files differ."""
+    def git(*args):
+        return subprocess.run(["git", *args], capture_output=True, text=True,
+                              cwd=os.path.dirname(os.path.abspath(__file__)))
+    head = git("rev-parse", "--short=12", "HEAD")
+    if head.returncode != 0:
+        return "unknown"
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return head.stdout.strip() + ("-dirty" if dirty else "")
+
+
+def distill(raw, commit):
+    """Keeps the iteration rows and the context of one microbench run."""
+    context = {key: raw.get("context", {}).get(key) for key in CONTEXT_KEYS}
+    context["commit"] = commit
+    benchmarks = [
+        {
+            "name": b["name"],
+            "real_time": b["real_time"],
+            "cpu_time": b["cpu_time"],
+            "time_unit": b["time_unit"],
+            "iterations": b["iterations"],
+            **({"groups": b["groups"]} if "groups" in b else {}),
+        }
+        for b in raw.get("benchmarks", [])
+        if b.get("run_type", "iteration") == "iteration"
+    ]
+    return {"context": context, "benchmarks": benchmarks}
 
 
 def run_benchmarks(binary, min_time, extra_filter):
@@ -674,6 +717,11 @@ def main():
                         help="--benchmark_min_time per benchmark (seconds)")
     parser.add_argument("--extra-filter", default="",
                         help="extra regex OR-ed onto the benchmark filter")
+    parser.add_argument("--baseline-bin", default="",
+                        help="a second microbench (e.g. the parent commit's) "
+                             "to run with the same filter as the baseline")
+    parser.add_argument("--baseline-commit", default="unknown",
+                        help="commit the baseline microbench was built from")
     parser.add_argument("--metrics", default="",
                         help="observability metrics JSON (htune_cli "
                              "--metrics=PATH) to fold into the report")
@@ -716,26 +764,13 @@ def main():
         return
 
     raw = run_benchmarks(args.bin, args.min_time, args.extra_filter)
-    benchmarks = [
-        {
-            "name": b["name"],
-            "real_time": b["real_time"],
-            "cpu_time": b["cpu_time"],
-            "time_unit": b["time_unit"],
-            "iterations": b["iterations"],
-            **({"groups": b["groups"]} if "groups" in b else {}),
-        }
-        for b in raw.get("benchmarks", [])
-        if b.get("run_type", "iteration") == "iteration"
-    ]
-    report = {
-        "context": {
-            key: raw.get("context", {}).get(key)
-            for key in ("host_name", "num_cpus", "mhz_per_cpu",
-                        "library_build_type")
-        },
-        "benchmarks": benchmarks,
-    }
+    report = distill(raw, checkout_commit())
+    benchmarks = report["benchmarks"]
+    if args.baseline_bin:
+        report["baseline"] = distill(
+            run_benchmarks(args.baseline_bin, args.min_time,
+                           args.extra_filter),
+            args.baseline_commit)
     if args.metrics:
         report["metrics"] = fold_metrics(load_metrics(args.metrics))
     with open(args.out, "w") as f:
