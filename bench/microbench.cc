@@ -103,8 +103,7 @@ BENCHMARK(BM_HeterogeneousAllocator)->Arg(1000)->Arg(5000)
 
 // 16 distinct group shapes (tasks x repetitions cross product) replicated
 // `copies` times each — 64 groups at copies=4, 256 at copies=16. Copies of a
-// shape reach the same on-hold rates, so the global latency cache dedupes
-// the quadrature kernel across them.
+// shape share one M(n, k) entry in the global latency cache.
 TuningProblem ManyGroupProblem(int copies) {
   TuningProblem problem;
   long unit_cost_sum = 0;
@@ -129,8 +128,7 @@ TuningProblem ManyGroupProblem(int copies) {
 }
 
 // End-to-end cold solve: the cache is cleared outside the timed region, so
-// each iteration pays the full quadrature bill once per distinct
-// (shape, rate) — copies of a shape share entries.
+// each iteration pays one quadrature per distinct (tasks, repetitions).
 void BM_RepetitionAllocatorManyGroups(benchmark::State& state) {
   const TuningProblem problem =
       ManyGroupProblem(static_cast<int>(state.range(0)));
@@ -199,15 +197,15 @@ void BM_RepetitionAllocatorPlanHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_RepetitionAllocatorPlanHeavy)->Unit(benchmark::kMicrosecond);
 
-// Warm-path cost of one memoized kernel lookup.
+// Warm-path cost of one memoized M(n, k) lookup, the one a GroupLatencyTable
+// makes at construction.
 void BM_LatencyCacheHit(benchmark::State& state) {
-  const auto curve = BenchCurve();
   GroupShape shape;
   shape.num_tasks = 50;
   shape.repetitions = 3;
-  GlobalLatencyCache().Phase1(shape, curve, 2);  // warm the entry
+  GlobalLatencyCache().UnitRatePhase1(shape);  // warm the entry
   for (auto _ : state) {
-    benchmark::DoNotOptimize(GlobalLatencyCache().Phase1(shape, curve, 2));
+    benchmark::DoNotOptimize(GlobalLatencyCache().UnitRatePhase1(shape));
   }
 }
 BENCHMARK(BM_LatencyCacheHit);

@@ -23,7 +23,6 @@
 #include "bench/report.h"
 #include "control/fault_tolerant_executor.h"
 #include "market/simulator.h"
-#include "model/latency_cache.h"
 #include "model/price_rate_curve.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -51,13 +50,10 @@ TuningProblem BenchProblem(long budget, int num_tasks,
   return problem;
 }
 
-/// One end-to-end rep of the instrumented hot paths: allocate (quadrature
-/// kernel + DP + backtrack) against a FRESH curve — fresh so every rep pays
-/// the cache-miss quadrature path the spans ride — then execute the job
-/// with reviews (market dispatch + straggler/repost decisions).
+/// One end-to-end rep of the instrumented hot paths: allocate (latency
+/// tables + DP + backtrack), then execute the job with reviews (market
+/// dispatch + straggler/repost decisions).
 double RunWorkload(long budget, int num_tasks, int reviews, uint64_t seed) {
-  // A fresh curve object per rep defeats the latency-cache key (curve
-  // identity), so allocation always exercises the quadrature kernel.
   const auto curve = std::make_shared<LinearCurve>(1.0, 1.0);
   const TuningProblem problem = BenchProblem(budget, num_tasks, curve);
 

@@ -9,7 +9,7 @@
 namespace htune {
 
 /// Fixed-size thread pool for the tuning stack's embarrassingly parallel
-/// hot loops (kernel prewarms, Monte Carlo replications).
+/// hot loops (Monte Carlo replications, the fleet's job lanes).
 ///
 /// Determinism contract: ParallelFor/ParallelMap schedule dynamically, so
 /// which thread runs which index is unspecified — but every index runs
@@ -57,7 +57,8 @@ class ThreadPool {
 int DefaultThreadCount();
 
 /// Lazily constructed process-wide pool of DefaultThreadCount() lanes, used
-/// by every free ParallelFor/ParallelMap and by the allocator prewarms.
+/// by every free ParallelFor/ParallelMap: the parallel Monte Carlo evaluator
+/// and the fleet supervisor's job lanes. No allocator uses it.
 ThreadPool& DefaultThreadPool();
 
 /// Swaps the pool returned by DefaultThreadPool() for this scope — the

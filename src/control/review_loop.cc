@@ -5,7 +5,6 @@
 
 #include "durability/records.h"
 #include "durability/snapshot.h"
-#include "model/latency_cache.h"
 #include "obs/obs.h"
 #include "resilience/policy.h"
 
@@ -159,7 +158,6 @@ Status RunLoop(double review_interval, int max_reviews, ReviewPolicy& policy,
   const double latency = last_completion - state.start;
   const long spent = market.TotalSpent() - state.spent_before;
   HTUNE_RETURN_IF_ERROR(policy.Finish(market, state, latency, spent));
-  GlobalLatencyCache().PublishToMetrics();
   if (ctx == nullptr) {
     return OkStatus();
   }

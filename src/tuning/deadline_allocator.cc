@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "tuning/group_latency_table.h"
 #include "tuning/repetition_allocator.h"
 
@@ -31,31 +30,19 @@ double Evaluate(const std::vector<GroupLatencyTable>& tables,
 }
 
 // kMostDifficult decomposes per group: every group independently needs the
-// cheapest price whose phase-1 + phase-2 is within the deadline. The
-// stopping price is unknown upfront, so instead of prewarming the whole
-// budget band we evaluate doubling windows of prices in parallel and scan
-// each window serially — the same first-feasible price the fully serial
-// scan finds, with wasted kernel work bounded by the final window.
+// cheapest price whose phase-1 + phase-2 is within the deadline, found by a
+// serial scan up from price 1.
 StatusOr<DeadlinePlan> SolveBottleneck(
     const TuningProblem& problem,
-    std::vector<GroupLatencyTable>& tables,
+    const std::vector<GroupLatencyTable>& tables,
     const std::vector<long>& unit_cost, double deadline) {
   DeadlinePlan plan;
   const size_t n = tables.size();
   plan.prices.assign(n, 1);
   for (size_t i = 0; i < n; ++i) {
     const long max_price = problem.budget / unit_cost[i];
-    int window = std::max(DefaultThreadPool().threads() * 2, 8);
-    int warmed = 0;
     int price = 1;
-    while (true) {
-      if (price > warmed) {
-        warmed = static_cast<int>(
-            std::min<long>(static_cast<long>(price + window - 1), max_price));
-        tables[i].Prewarm(warmed);
-        window *= 2;
-      }
-      if (tables[i].Phase1(price) + tables[i].Phase2() <= deadline) break;
+    while (tables[i].Phase1(price) + tables[i].Phase2() > deadline) {
       if (price >= max_price) {
         return OutOfRangeError(
             "SolveDeadline: deadline unreachable within the budget ceiling "
@@ -83,21 +70,17 @@ StatusOr<DeadlinePlan> SolveBottleneck(
 // deadline.
 StatusOr<DeadlinePlan> SolveSeparable(
     const TuningProblem& problem,
-    std::vector<GroupLatencyTable>& tables,
+    const std::vector<GroupLatencyTable>& tables,
     const std::vector<long>& unit_cost, double deadline) {
   const size_t n = tables.size();
   const long budget = problem.budget;
 
   // The knapsack touches every price up to budget / u_i for every group:
-  // prewarm the whole band in one parallel fan-out and hoist the tables
-  // flat before the serial DP.
+  // hoist them flat before the DP.
   std::vector<int> max_price(n);
-  for (size_t i = 0; i < n; ++i) {
-    max_price[i] = static_cast<int>(budget / unit_cost[i]);
-  }
-  PrewarmTables(tables, max_price);
   std::vector<std::vector<double>> phase1(n);
   for (size_t i = 0; i < n; ++i) {
+    max_price[i] = static_cast<int>(budget / unit_cost[i]);
     phase1[i] = tables[i].FlatPhase1(max_price[i]);
   }
 

@@ -20,7 +20,7 @@ namespace htune {
 ///
 /// Versions are immutable once created, so reads of existing roots and a
 /// single writer appending new versions need no synchronization (the DPs are
-/// serial; only the kernel prewarm underneath them is parallel).
+/// serial).
 class DpPriceTree {
  public:
   /// A tree of `n` leaves, all starting at `price`; leaf i carries

@@ -15,44 +15,49 @@
 namespace htune {
 namespace {
 
-std::vector<GroupLatencyTable> BuildTables(const TuningProblem& problem) {
-  std::vector<GroupLatencyTable> tables;
-  tables.reserve(problem.groups.size());
+// Each group's phase-1 latency at prices 1..max_price[i] (slot 0 unused)
+// and its phase-2 latency. HA's loops read each price many times, so they
+// index these arrays rather than evaluate the curves again.
+struct GroupLatencies {
+  std::vector<std::vector<double>> phase1;
+  std::vector<double> phase2;
+};
+
+GroupLatencies FlatLatencies(const TuningProblem& problem,
+                             const std::vector<int>& max_price) {
+  GroupLatencies latencies;
+  for (size_t i = 0; i < problem.groups.size(); ++i) {
+    const GroupLatencyTable table(problem.groups[i]);
+    latencies.phase1.push_back(table.FlatPhase1(max_price[i]));
+    latencies.phase2.push_back(table.Phase2());
+  }
+  return latencies;
+}
+
+// Every price any HA phase can reach: budget / u_i for group i. This covers
+// the enumeration, the greedy bottleneck, the exact RA used for O1* and the
+// unit DP.
+GroupLatencies ReachableLatencies(const TuningProblem& problem) {
+  std::vector<int> max_price;
   for (const TaskGroup& g : problem.groups) {
-    tables.emplace_back(g);
+    max_price.push_back(static_cast<int>(problem.budget / g.UnitCost()));
   }
-  return tables;
+  return FlatLatencies(problem, max_price);
 }
 
-// Fans every price any HA phase can touch (enumeration, greedy bottleneck,
-// the exact RA used for O1*, and the unit DP) out on the pool. The kernel
-// values land in the process-wide cache, so the tables this and every
-// downstream helper rebuilds become pure lookups.
-void PrewarmForProblem(const TuningProblem& problem,
-                       std::vector<GroupLatencyTable>& tables) {
-  std::vector<int> max_price(tables.size());
-  for (size_t i = 0; i < tables.size(); ++i) {
-    max_price[i] = static_cast<int>(
-        problem.budget / problem.groups[i].UnitCost()) + 1;
-  }
-  PrewarmTables(tables, max_price);
-}
-
-ObjectivePoint ObjectivesFromTables(
-    const std::vector<GroupLatencyTable>& tables,
-    const std::vector<int>& prices) {
+ObjectivePoint ObjectivesAt(const GroupLatencies& latencies,
+                            const std::vector<int>& prices) {
   ObjectivePoint op;
-  for (size_t i = 0; i < tables.size(); ++i) {
-    const double phase1 = tables[i].Phase1(prices[i]);
+  for (size_t i = 0; i < prices.size(); ++i) {
+    const double phase1 = latencies.phase1[i][static_cast<size_t>(prices[i])];
     op.o1 += phase1;
-    op.o2 = std::max(op.o2, phase1 + tables[i].Phase2());
+    op.o2 = std::max(op.o2, phase1 + latencies.phase2[i]);
   }
   return op;
 }
 
-std::vector<int> MinimizeMostDifficultWithTables(
-    const TuningProblem& problem,
-    const std::vector<GroupLatencyTable>& tables) {
+std::vector<int> MinimizeMostDifficultAt(const TuningProblem& problem,
+                                         const GroupLatencies& latencies) {
   const size_t n = problem.groups.size();
   std::vector<int> prices(n, 1);
   long remaining = problem.budget - problem.MinimumBudget();
@@ -61,7 +66,9 @@ std::vector<int> MinimizeMostDifficultWithTables(
     size_t worst = 0;
     double worst_value = -1.0;
     for (size_t i = 0; i < n; ++i) {
-      const double value = tables[i].Phase1(prices[i]) + tables[i].Phase2();
+      const double value =
+          latencies.phase1[i][static_cast<size_t>(prices[i])] +
+          latencies.phase2[i];
       if (value > worst_value) {
         worst_value = value;
         worst = i;
@@ -79,19 +86,31 @@ std::vector<int> MinimizeMostDifficultWithTables(
   return prices;
 }
 
+// The Utopia point: O1* from the exact separable DP, which minimizes the
+// same group sum, and O2* from the bottleneck greedy.
+StatusOr<ObjectivePoint> UtopiaAt(const TuningProblem& problem,
+                                  const GroupLatencies& latencies) {
+  const RepetitionAllocator exact(RepetitionAllocator::Mode::kExactDp);
+  HTUNE_ASSIGN_OR_RETURN(const std::vector<int> o1_prices,
+                         exact.SolvePrices(problem));
+  const double o1_star = ObjectivesAt(latencies, o1_prices).o1;
+  const std::vector<int> o2_prices =
+      MinimizeMostDifficultAt(problem, latencies);
+  const double o2_star = ObjectivesAt(latencies, o2_prices).o2;
+  return ObjectivePoint{o1_star, o2_star};
+}
+
 }  // namespace
 
 std::vector<int> MinimizeMostDifficult(const TuningProblem& problem) {
   HTUNE_CHECK_OK(ValidateProblem(problem));
-  const std::vector<GroupLatencyTable> tables = BuildTables(problem);
-  return MinimizeMostDifficultWithTables(problem, tables);
+  return MinimizeMostDifficultAt(problem, ReachableLatencies(problem));
 }
 
 ObjectivePoint HeterogeneousAllocator::Objectives(
     const TuningProblem& problem, const std::vector<int>& prices) {
   HTUNE_CHECK_EQ(prices.size(), problem.groups.size());
-  const std::vector<GroupLatencyTable> tables = BuildTables(problem);
-  return ObjectivesFromTables(tables, prices);
+  return ObjectivesAt(FlatLatencies(problem, prices), prices);
 }
 
 double HeterogeneousAllocator::Closeness(const ObjectivePoint& op,
@@ -107,20 +126,7 @@ double HeterogeneousAllocator::Closeness(const ObjectivePoint& op,
 StatusOr<ObjectivePoint> HeterogeneousAllocator::UtopiaPoint(
     const TuningProblem& problem) const {
   HTUNE_RETURN_IF_ERROR(ValidateProblem(problem));
-  const std::vector<GroupLatencyTable> tables = BuildTables(problem);
-
-  // O1*: the exact separable DP used by RA minimizes the same group sum.
-  const RepetitionAllocator exact(RepetitionAllocator::Mode::kExactDp);
-  HTUNE_ASSIGN_OR_RETURN(const std::vector<int> o1_prices,
-                         exact.SolvePrices(problem));
-  const double o1_star = ObjectivesFromTables(tables, o1_prices).o1;
-
-  // O2*: bottleneck greedy on the most-difficult-task latency.
-  const std::vector<int> o2_prices =
-      MinimizeMostDifficultWithTables(problem, tables);
-  const double o2_star = ObjectivesFromTables(tables, o2_prices).o2;
-
-  return ObjectivePoint{o1_star, o2_star};
+  return UtopiaAt(problem, ReachableLatencies(problem));
 }
 
 namespace {
@@ -143,9 +149,9 @@ double EnumerationBound(const TuningProblem& problem) {
 StatusOr<std::vector<int>> HeterogeneousAllocator::SolvePrices(
     const TuningProblem& problem) const {
   HTUNE_RETURN_IF_ERROR(ValidateProblem(problem));
-  std::vector<GroupLatencyTable> tables = BuildTables(problem);
-  PrewarmForProblem(problem, tables);
-  HTUNE_ASSIGN_OR_RETURN(const ObjectivePoint utopia, UtopiaPoint(problem));
+  const GroupLatencies latencies = ReachableLatencies(problem);
+  HTUNE_ASSIGN_OR_RETURN(const ObjectivePoint utopia,
+                         UtopiaAt(problem, latencies));
 
   // Exact path: the closeness objective is not separable (O2 is a max), and
   // the unit-step DP below can stall on plateaus of measured (table)
@@ -157,7 +163,7 @@ StatusOr<std::vector<int>> HeterogeneousAllocator::SolvePrices(
     double best_value = std::numeric_limits<double>::infinity();
     ForEachUniformPriceVector(problem, [&](const std::vector<int>& prices) {
       const double value =
-          Closeness(ObjectivesFromTables(tables, prices), utopia);
+          Closeness(ObjectivesAt(latencies, prices), utopia);
       if (value < best_value ||
           (value == best_value && (best.empty() || prices < best))) {
         best_value = value;
@@ -181,14 +187,10 @@ StatusOr<std::vector<int>> HeterogeneousAllocator::SolvePrices(
   // of a candidate bump is an O(log n) sibling walk instead of an O(n)
   // rescan, and O1 is maintained incrementally from the marginal gain.
   const long spare = problem.budget - problem.MinimumBudget();
-  std::vector<int> max_price(n);
-  std::vector<std::vector<double>> phase1(n);
-  std::vector<double> phase2(n);
+  const std::vector<std::vector<double>>& phase1 = latencies.phase1;
+  const std::vector<double>& phase2 = latencies.phase2;
   std::vector<double> initial_value(n);
   for (size_t i = 0; i < n; ++i) {
-    max_price[i] = static_cast<int>(1 + spare / unit_cost[i]) + 1;
-    phase1[i] = tables[i].FlatPhase1(max_price[i]);
-    phase2[i] = tables[i].Phase2();
     initial_value[i] = phase1[i][1] + phase2[i];
   }
 

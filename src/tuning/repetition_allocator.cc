@@ -53,27 +53,23 @@ std::vector<int> RepetitionAllocator::SolvePaperDp(
   // budget x holds the best price vector reachable with x extra units.
   const long spare = problem.budget - problem.MinimumBudget();
 
-  // Group i's price at any state is at most 1 + spare / u_i (every unit step
-  // costs u_i), and the marginal-gain lookup touches one price beyond. The
-  // loop reads E_i only at a state's price and the next one, so most of that
-  // range goes unread: start each group's flat array at prices 1..2 and
-  // double it the first time the loop reads past it, capped at the bound.
+  // Group i's price at state x - u_i is at most 1 + (spare - u_i) / u_i, so
+  // the loop, which reads E_i at that price and the next one, reads no price
+  // above 1 + spare / u_i. Most of that range goes unread: start each group's
+  // flat array at price 1 and double it the first time the loop reads past
+  // it, capped at the bound.
   std::vector<int> max_price(n);
-  std::vector<int> band(n, 2);
-  for (size_t i = 0; i < n; ++i) {
-    max_price[i] = static_cast<int>(1 + spare / unit_cost[i]) + 1;
-  }
-  PrewarmTables(tables, band);
   std::vector<std::vector<double>> phase1(n);
   for (size_t i = 0; i < n; ++i) {
-    phase1[i] = tables[i].FlatPhase1(band[i]);
+    max_price[i] = static_cast<int>(1 + spare / unit_cost[i]);
+    phase1[i] = tables[i].FlatPhase1(1);
   }
-  // Widens group i's array to cover `price`. Runs inside the DP span, so the
-  // fill opens no span of its own and the layers never overlap.
+  // Widens group i's array to cover `price`.
   const auto grow = [&](size_t i, int price) {
-    band[i] = std::min(std::max(2 * band[i], price), max_price[i]);
-    tables[i].Fill(band[i]);
-    phase1[i] = tables[i].FlatPhase1(band[i]);
+    HTUNE_CHECK_LE(price, max_price[i]);
+    const int band = static_cast<int>(phase1[i].size()) - 1;
+    tables[i].ExtendFlatPhase1(
+        std::min(std::max(2 * band, price), max_price[i]), &phase1[i]);
   };
 
   // Each DP state is an int32 root into a persistent price tree plus its
@@ -99,7 +95,7 @@ std::vector<int> RepetitionAllocator::SolvePaperDp(
         if (unit_cost[i] > x) continue;
         const size_t from = static_cast<size_t>(x - unit_cost[i]);
         const int p = tree.PriceAt(root_at[from], i);
-        if (p + 1 > band[i]) grow(i, p + 1);
+        if (static_cast<size_t>(p) + 1 >= phase1[i].size()) grow(i, p + 1);
         const double candidate =
             objective_at[from] - (phase1[i][static_cast<size_t>(p)] -
                                   phase1[i][static_cast<size_t>(p) + 1]);
@@ -132,27 +128,17 @@ std::vector<int> RepetitionAllocator::SolvePaperDp(
 std::vector<int> RepetitionAllocator::SolveExactDp(
     const TuningProblem& problem) const {
   const size_t n = problem.groups.size();
-  std::vector<GroupLatencyTable> tables;
-  tables.reserve(n);
-  std::vector<long> unit_cost(n);
-  for (size_t i = 0; i < n; ++i) {
-    tables.emplace_back(problem.groups[i]);
-    unit_cost[i] = problem.groups[i].UnitCost();
-  }
-
   const long budget = problem.budget;
 
-  // Every price the knapsack loop can touch, prewarmed in parallel and
-  // hoisted flat so the O(n * B * p_max) inner loop below never leaves
-  // straight-line array code.
+  // Every price the knapsack loop can touch, hoisted flat so the
+  // O(n * B * p_max) inner loop below never leaves straight-line array code.
+  std::vector<long> unit_cost(n);
   std::vector<int> max_price(n);
-  for (size_t i = 0; i < n; ++i) {
-    max_price[i] = static_cast<int>(budget / unit_cost[i]);
-  }
-  PrewarmTables(tables, max_price);
   std::vector<std::vector<double>> phase1(n);
   for (size_t i = 0; i < n; ++i) {
-    phase1[i] = tables[i].FlatPhase1(max_price[i]);
+    unit_cost[i] = problem.groups[i].UnitCost();
+    max_price[i] = static_cast<int>(budget / unit_cost[i]);
+    phase1[i] = GroupLatencyTable(problem.groups[i]).FlatPhase1(max_price[i]);
   }
 
   constexpr double kInf = std::numeric_limits<double>::infinity();

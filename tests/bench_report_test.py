@@ -2,9 +2,9 @@
 """Fixture tests for tools/bench_report.py's validator modes.
 
 Exercises the overhead-gate helper shared by --chaos and --fleet (including
-the zero-denominator skip path that used to traceback on smoke exports) and
-the --shared validator for bench/shared_market exports. Pure stdlib; runs
-under ctest as bench_report_unit.
+the zero-denominator skip path that used to traceback on smoke exports),
+the --shared validator for bench/shared_market exports, and the interleaved
+microbench capture. Pure stdlib; runs under ctest as bench_report_unit.
 """
 
 import contextlib
@@ -344,6 +344,50 @@ class SharedValidatorTest(unittest.TestCase):
                               with_baseline(**changes))
             with self.assertRaises(SystemExit, msg=str(changes)):
                 bench_report.load_shared(path)
+
+
+class InterleavedCaptureTest(unittest.TestCase):
+    @staticmethod
+    def raw(real_times):
+        return {
+            "context": {"host_name": "h", "num_cpus": 4, "mhz_per_cpu": 1,
+                        "build_type": "Release"},
+            "benchmarks": [
+                {"name": name, "real_time": t, "cpu_time": t / 2,
+                 "time_unit": "ns", "iterations": 10,
+                 "run_type": "iteration"}
+                for name, t in real_times.items()
+            ] + [{"name": "BM_A_mean", "real_time": 0.0, "cpu_time": 0.0,
+                  "time_unit": "ns", "iterations": 1,
+                  "run_type": "aggregate"}],
+        }
+
+    def test_distill_keeps_medians_and_every_round(self):
+        raws = [self.raw({"BM_A": t, "BM_B": 2 * t}) for t in (5.0, 1.0, 3.0)]
+        report = bench_report.distill(raws, "abc")
+        self.assertEqual(report["context"]["commit"], "abc")
+        by_name = {b["name"]: b for b in report["benchmarks"]}
+        self.assertEqual(sorted(by_name), ["BM_A", "BM_B"])
+        self.assertEqual(by_name["BM_A"]["real_time"], 3.0)
+        self.assertEqual(by_name["BM_A"]["cpu_time"], 1.5)
+        self.assertEqual(by_name["BM_A"]["real_time_runs"], [5.0, 1.0, 3.0])
+        self.assertEqual(by_name["BM_B"]["real_time"], 6.0)
+
+    def test_rounds_alternate_which_binary_runs_first(self):
+        calls = []
+
+        def fake_run(binary, min_time, extra_filter):
+            calls.append(binary)
+            return self.raw({"BM_A": 1.0})
+
+        original = bench_report.run_benchmarks
+        bench_report.run_benchmarks = fake_run
+        try:
+            raws = bench_report.run_interleaved(["new", "old"], 3, "0.1", "")
+        finally:
+            bench_report.run_benchmarks = original
+        self.assertEqual(calls, ["new", "old", "old", "new", "new", "old"])
+        self.assertEqual([len(r) for r in raws], [3, 3])
 
 
 if __name__ == "__main__":

@@ -1,12 +1,10 @@
 // The parallel runtime's determinism contract, end to end: every allocator
 // and the parallel Monte Carlo evaluator must produce bitwise-identical
 // results whether the default pool has 1, 4, or hardware_concurrency lanes.
-// The paper DP's on-demand price band must match the eager prewarm it
-// replaced, and a prewarm the kernel cache already covers must send no work
-// to the pool.
+// The paper DP's on-demand price band must match a DP that fills every
+// price it can reach up front.
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -219,26 +217,18 @@ TEST(DeterminismTest, MetricsRegistryMergeAcrossPools) {
   });
 }
 
-// The paper DP as it ran before its price band grew on demand: prewarm every
-// group up to its 1 + spare / u + 1 bound, then the same marginal-gain loop.
-// The on-demand band must reproduce its prices exactly.
+// The paper DP as it ran before its price band grew on demand: fill every
+// group's FlatPhase1 array up to its 1 + spare / u bound, then the same
+// marginal-gain loop. The on-demand band must reproduce its prices exactly.
 std::vector<int> EagerPaperDp(const TuningProblem& problem) {
   const size_t n = problem.groups.size();
-  std::vector<GroupLatencyTable> tables;
-  std::vector<long> unit_cost(n);
-  for (size_t i = 0; i < n; ++i) {
-    tables.emplace_back(problem.groups[i]);
-    unit_cost[i] = problem.groups[i].UnitCost();
-  }
   const long spare = problem.budget - problem.MinimumBudget();
-  std::vector<int> max_price(n);
-  for (size_t i = 0; i < n; ++i) {
-    max_price[i] = static_cast<int>(1 + spare / unit_cost[i]) + 1;
-  }
-  PrewarmTables(tables, max_price);
+  std::vector<long> unit_cost(n);
   std::vector<std::vector<double>> phase1(n);
   for (size_t i = 0; i < n; ++i) {
-    phase1[i] = tables[i].FlatPhase1(max_price[i]);
+    unit_cost[i] = problem.groups[i].UnitCost();
+    phase1[i] = GroupLatencyTable(problem.groups[i])
+                    .FlatPhase1(static_cast<int>(1 + spare / unit_cost[i]));
   }
 
   DpPriceTree tree(n, /*price=*/1, /*values=*/{});
@@ -368,101 +358,29 @@ TuningProblem PlanHeavyProblem() {
   return problem;
 }
 
-// Each group's 1 + spare / u + 1 bound: what the eager prewarm filled.
-std::vector<int> PriceBounds(const TuningProblem& problem) {
-  const long spare = problem.budget - problem.MinimumBudget();
-  std::vector<int> bounds;
-  for (const TaskGroup& g : problem.groups) {
-    bounds.push_back(static_cast<int>(1 + spare / g.UnitCost()) + 1);
-  }
-  return bounds;
-}
-
+// Every price lookup reaches the curve, so counting Rate() calls counts the
+// prices the paper DP's band filled. It must stay under a tenth of the
+// 1 + spare / u bounds that the eager fill covered.
 TEST(PaperDpBandTest, LooksUpUnderATenthOfThePriceBounds) {
-  const TuningProblem problem = PlanHeavyProblem();
+  TuningProblem problem = PlanHeavyProblem();
+  const long spare = problem.budget - problem.MinimumBudget();
   long bound_sum = 0;
-  for (const int bound : PriceBounds(problem)) {
-    bound_sum += bound;
+  uint64_t rate_calls = 0;
+  for (TaskGroup& g : problem.groups) {
+    bound_sum += 1 + spare / g.UnitCost();
+    g.curve = std::make_shared<FunctionCurve>(
+        [curve = g.curve, &rate_calls](double price) {
+          ++rate_calls;
+          return curve->Rate(price);
+        },
+        "counted " + g.curve->Name());
   }
-  GlobalLatencyCache().Clear();
   const RepetitionAllocator tuner(RepetitionAllocator::Mode::kPaperDp);
-  ASSERT_TRUE(tuner.SolvePrices(problem).ok());
-  const LatencyCacheStats stats = GlobalLatencyCache().Stats();
-  EXPECT_GT(stats.misses, 0u);
-  EXPECT_LT(stats.hits + stats.misses, static_cast<uint64_t>(bound_sum / 10));
-}
-
-// The traced benchmark sums the prewarm, dp and backtrack spans as tuning
-// time, so a band growth inside the DP must not open a prewarm span of its
-// own: one solve, one prewarm span, one dp span.
-TEST(PaperDpBandTest, BandGrowthOpensNoPrewarmSpan) {
-  const TuningProblem problem = PlanHeavyProblem();
-  const obs::Counter& prewarms =
-      obs::GlobalMetrics().GetCounter("span.allocator.prewarm.count");
-  const obs::Counter& dps =
-      obs::GlobalMetrics().GetCounter("span.allocator.dp.count");
-  GlobalLatencyCache().Clear();
-  const uint64_t prewarms_before = prewarms.Value();
-  const uint64_t dps_before = dps.Value();
-  const RepetitionAllocator tuner(RepetitionAllocator::Mode::kPaperDp);
-  ASSERT_TRUE(tuner.SolvePrices(problem).ok());
-  EXPECT_EQ(prewarms.Value() - prewarms_before, 1u);
-  EXPECT_EQ(dps.Value() - dps_before, 1u);
-}
-
-TEST(LatencyCacheTest, HitOnlyProbeInsertsNothingOnAMiss) {
-  LatencyKernelCache cache;
-  const auto curve = Curve("linear 0.5 0.5");
-  const GroupShape shape{3, 4, 2.0};
-  double value = -1.0;
-  EXPECT_FALSE(cache.TryPhase1(shape, curve, 5, &value));
-  EXPECT_EQ(value, -1.0);
-  LatencyCacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.entries, 0u);
-
-  const double computed = cache.Phase1(shape, curve, 5);
-  ASSERT_TRUE(cache.TryPhase1(shape, curve, 5, &value));
-  EXPECT_EQ(std::bit_cast<uint64_t>(value), std::bit_cast<uint64_t>(computed));
-  stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(LatencyCacheTest, WarmPrewarmSendsNoSlotToThePool) {
-  const TuningProblem problem = PlanHeavyProblem();
-  const std::vector<int> bounds = PriceBounds(problem);
-  const auto fresh_tables = [&] {
-    std::vector<GroupLatencyTable> tables;
-    for (const TaskGroup& g : problem.groups) {
-      tables.emplace_back(g);
-    }
-    return tables;
-  };
-  const obs::Counter& filled =
-      obs::GlobalMetrics().GetCounter("allocator.prewarm_slots_filled");
-  ThreadPool pool(4);
-  ScopedDefaultThreadPool scoped(&pool);
-  GlobalLatencyCache().Clear();
-
-  std::vector<GroupLatencyTable> cold = fresh_tables();
-  const uint64_t before_cold = filled.Value();
-  PrewarmTables(cold, bounds);
-  EXPECT_GT(filled.Value(), before_cold);
-
-  std::vector<GroupLatencyTable> warm = fresh_tables();
-  const LatencyCacheStats before = GlobalLatencyCache().Stats();
-  const uint64_t before_warm = filled.Value();
-  PrewarmTables(warm, bounds);
-  EXPECT_EQ(filled.Value(), before_warm);
-  const LatencyCacheStats after = GlobalLatencyCache().Stats();
-  EXPECT_EQ(after.misses, before.misses);
-  EXPECT_EQ(after.entries, before.entries);
-  for (size_t i = 0; i < warm.size(); ++i) {
-    EXPECT_EQ(warm[i].FlatPhase1(bounds[i]), cold[i].FlatPhase1(bounds[i]));
-  }
+  const auto prices = tuner.SolvePrices(problem);
+  ASSERT_TRUE(prices.ok());
+  EXPECT_EQ(*prices, EagerPaperDp(PlanHeavyProblem()));
+  EXPECT_GT(rate_calls, 0u);
+  EXPECT_LT(rate_calls, static_cast<uint64_t>(bound_sum / 10));
 }
 
 }  // namespace

@@ -1,17 +1,25 @@
 #include "common/parallel.h"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "model/latency_cache.h"
 #include "model/latency_model.h"
+#include "model/order_statistics.h"
 #include "model/price_rate_curve.h"
+#include "rng/random.h"
 #include "spec/job_spec.h"
+#include "tuning/group_latency_table.h"
 #include "tuning/repetition_allocator.h"
 
 namespace htune {
@@ -114,29 +122,49 @@ TEST(ScopedDefaultThreadPoolTest, OverridesAndRestores) {
   EXPECT_EQ(DefaultThreadPool().threads(), base_threads);
 }
 
+GroupShape Shape(int num_tasks, int repetitions) {
+  GroupShape shape;
+  shape.num_tasks = num_tasks;
+  shape.repetitions = repetitions;
+  return shape;
+}
+
+TaskGroup Group(int num_tasks, int repetitions,
+                std::shared_ptr<const PriceRateCurve> curve) {
+  TaskGroup group;
+  group.name = "g";
+  group.num_tasks = num_tasks;
+  group.repetitions = repetitions;
+  group.curve = std::move(curve);
+  return group;
+}
+
+// M(n, k): the scale-free kernel at on-hold rate 1, uncached.
+double Kernel(int num_tasks, int repetitions) {
+  return ExpectedGroupOnHoldLatencyAtRate(Shape(num_tasks, repetitions), 1.0);
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
 TEST(LatencyCacheTest, ConcurrentLookupsMatchSerialKernel) {
   GlobalLatencyCache().Clear();
-  const auto curve = std::make_shared<LinearCurve>(1.0, 1.0);
-  // 16 distinct (shape, price) keys, each requested from 64 indices at once.
+  // 16 distinct (tasks, repetitions) keys, each requested from 64 indices
+  // at once on 4 lanes.
   const int kKeys = 16;
   const int kRequests = 64 * kKeys;
+  const auto shape_of = [](int key) { return Shape(5 + key % 4, 1 + key / 4); };
   std::vector<double> got(static_cast<size_t>(kRequests), 0.0);
   ThreadPool pool(4);
   pool.ParallelFor(static_cast<size_t>(kRequests), [&](size_t i) {
-    const int key = static_cast<int>(i) % kKeys;
-    GroupShape shape;
-    shape.num_tasks = 5 + key % 4;
-    shape.repetitions = 1 + key / 4;
-    got[i] = GlobalLatencyCache().Phase1(shape, curve, 1 + key % 3);
+    got[i] = GlobalLatencyCache().UnitRatePhase1(
+        shape_of(static_cast<int>(i) % kKeys));
   });
   for (int key = 0; key < kKeys; ++key) {
-    GroupShape shape;
-    shape.num_tasks = 5 + key % 4;
-    shape.repetitions = 1 + key / 4;
-    const double expect =
-        ExpectedGroupOnHoldLatency(shape, *curve, 1 + key % 3);
+    const GroupShape shape = shape_of(key);
+    const double expect = Kernel(shape.num_tasks, shape.repetitions);
     for (int i = key; i < kRequests; i += kKeys) {
-      EXPECT_EQ(got[static_cast<size_t>(i)], expect) << "key=" << key;
+      EXPECT_EQ(Bits(got[static_cast<size_t>(i)]), Bits(expect))
+          << "key=" << key;
     }
   }
   const LatencyCacheStats stats = GlobalLatencyCache().Stats();
@@ -150,12 +178,8 @@ TEST(LatencyCacheTest, ConcurrentLookupsMatchSerialKernel) {
 
 TEST(LatencyCacheTest, ClearDropsEntriesAndCounters) {
   GlobalLatencyCache().Clear();
-  const auto curve = std::make_shared<LinearCurve>(1.0, 1.0);
-  GroupShape shape;
-  shape.num_tasks = 4;
-  shape.repetitions = 2;
-  GlobalLatencyCache().Phase1(shape, curve, 2);
-  EXPECT_GE(GlobalLatencyCache().Stats().entries, 1u);
+  GlobalLatencyCache().UnitRatePhase1(Shape(4, 2));
+  EXPECT_EQ(GlobalLatencyCache().Stats().entries, 1u);
   GlobalLatencyCache().Clear();
   const LatencyCacheStats stats = GlobalLatencyCache().Stats();
   EXPECT_EQ(stats.entries, 0u);
@@ -163,22 +187,17 @@ TEST(LatencyCacheTest, ClearDropsEntriesAndCounters) {
   EXPECT_EQ(stats.misses, 0u);
 }
 
-// Fresh curve objects per lookup against a concurrent Clear(): whatever
+// Tables over fresh curve objects against a concurrent Clear(): whatever
 // entries a wipe drops or keeps, every lookup returns the kernel's value
-// at the curve's rate.
+// over the curve's rate.
 TEST(LatencyCacheTest, ClearRacingLookupsReturnKernelValues) {
   GlobalLatencyCache().Clear();
   ThreadPool pool(4);
   const size_t kIters = 4000;
-  const auto shape_of = [](size_t i) {
-    GroupShape shape;
-    shape.num_tasks = 2 + static_cast<int>(i % 3);
-    shape.repetitions = 1 + static_cast<int>(i % 2);
-    return shape;
-  };
-  const auto curve_of = [](size_t i) {
-    return std::make_shared<LinearCurve>(1.0 + static_cast<double>(i % 7),
-                                         1.0);
+  const auto group_of = [](size_t i) {
+    return Group(2 + static_cast<int>(i % 3), 1 + static_cast<int>(i % 2),
+                 std::make_shared<LinearCurve>(
+                     1.0 + static_cast<double>(i % 7), 1.0));
   };
   const auto price_of = [](size_t i) { return 1 + static_cast<int>(i % 4); };
   std::vector<double> got(kIters, 0.0);
@@ -187,13 +206,14 @@ TEST(LatencyCacheTest, ClearRacingLookupsReturnKernelValues) {
       GlobalLatencyCache().Clear();
       return;
     }
-    got[i] = GlobalLatencyCache().Phase1(shape_of(i), curve_of(i),
-                                         price_of(i));
+    got[i] = GroupLatencyTable(group_of(i)).Phase1(price_of(i));
   });
   for (size_t i = 0; i < kIters; ++i) {
     if (i % 17 == 0) continue;
-    const double rate = curve_of(i)->Rate(price_of(i));
-    EXPECT_EQ(got[i], ExpectedGroupOnHoldLatencyAtRate(shape_of(i), rate))
+    const TaskGroup group = group_of(i);
+    const double rate = group.curve->Rate(price_of(i));
+    EXPECT_EQ(Bits(got[i]),
+              Bits(Kernel(group.num_tasks, group.repetitions) / rate))
         << "i=" << i;
   }
   GlobalLatencyCache().Clear();
@@ -201,16 +221,13 @@ TEST(LatencyCacheTest, ClearRacingLookupsReturnKernelValues) {
 
 TEST(LatencyCacheTest, ProcessingRateDoesNotSplitEntries) {
   GlobalLatencyCache().Clear();
-  const auto curve = std::make_shared<LinearCurve>(1.0, 1.0);
-  GroupShape fast;
-  fast.num_tasks = 6;
-  fast.repetitions = 3;
+  GroupShape fast = Shape(6, 3);
   fast.processing_rate = 10.0;
   GroupShape slow = fast;
   slow.processing_rate = 0.5;
-  const double a = GlobalLatencyCache().Phase1(fast, curve, 2);
-  const double b = GlobalLatencyCache().Phase1(slow, curve, 2);
-  EXPECT_EQ(a, b);
+  const double a = GlobalLatencyCache().UnitRatePhase1(fast);
+  const double b = GlobalLatencyCache().UnitRatePhase1(slow);
+  EXPECT_EQ(Bits(a), Bits(b));
   const LatencyCacheStats stats = GlobalLatencyCache().Stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.hits, 1u);
@@ -223,12 +240,9 @@ TEST(LatencyCacheTest, SeparatelyParsedCurvesShareOneEntry) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   ASSERT_NE(first->get(), second->get());
-  GroupShape shape;
-  shape.num_tasks = 7;
-  shape.repetitions = 3;
-  const double a = GlobalLatencyCache().Phase1(shape, *first, 4);
-  const double b = GlobalLatencyCache().Phase1(shape, *second, 4);
-  EXPECT_EQ(a, b);
+  const double a = GroupLatencyTable(Group(7, 3, *first)).Phase1(4);
+  const double b = GroupLatencyTable(Group(7, 3, *second)).Phase1(4);
+  EXPECT_EQ(Bits(a), Bits(b));
   const LatencyCacheStats stats = GlobalLatencyCache().Stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.hits, 1u);
@@ -237,15 +251,15 @@ TEST(LatencyCacheTest, SeparatelyParsedCurvesShareOneEntry) {
 TEST(LatencyCacheTest, DifferentCurvesAtTheSameRateShareOneEntry) {
   GlobalLatencyCache().Clear();
   // 1 * 2 + 1 == 0.5 * 2 + 2 == 3, exactly.
-  const auto steep = std::make_shared<LinearCurve>(1.0, 1.0);
-  const auto flat = std::make_shared<LinearCurve>(0.5, 2.0);
-  GroupShape shape;
-  shape.num_tasks = 5;
-  shape.repetitions = 2;
-  const double a = GlobalLatencyCache().Phase1(shape, steep, 2);
-  const double b = GlobalLatencyCache().Phase1(shape, flat, 2);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, ExpectedGroupOnHoldLatencyAtRate(shape, 3.0));
+  const GroupLatencyTable steep(
+      Group(5, 2, std::make_shared<LinearCurve>(1.0, 1.0)));
+  const GroupLatencyTable flat(
+      Group(5, 2, std::make_shared<LinearCurve>(0.5, 2.0)));
+  const double a = steep.Phase1(2);
+  EXPECT_EQ(Bits(a), Bits(flat.Phase1(2)));
+  EXPECT_EQ(Bits(a), Bits(Kernel(5, 2) / 3.0));
+  // Curves that differ in rate share the entry too: it holds no rate.
+  EXPECT_EQ(Bits(flat.Phase1(4)), Bits(Kernel(5, 2) / 4.0));
   const LatencyCacheStats stats = GlobalLatencyCache().Stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.hits, 1u);
@@ -258,17 +272,97 @@ TEST(LatencyCacheTest, AbandonmentAdjustedCurveUsesTheCorrectedRate) {
   model.prob = 0.3;
   model.hold_rate = 2.0;
   const auto adjusted = AdjustCurveForAbandonment(base, model);
-  GroupShape shape;
-  shape.num_tasks = 6;
-  shape.repetitions = 2;
   const double corrected = EffectiveOnHoldRate(base->Rate(3.0), model);
   ASSERT_NE(corrected, base->Rate(3.0));
-  EXPECT_EQ(GlobalLatencyCache().Phase1(shape, adjusted, 3),
-            ExpectedGroupOnHoldLatencyAtRate(shape, corrected));
-  // The base curve's entry at the same price is a different key.
-  EXPECT_EQ(GlobalLatencyCache().Phase1(shape, base, 3),
-            ExpectedGroupOnHoldLatencyAtRate(shape, base->Rate(3.0)));
-  EXPECT_EQ(GlobalLatencyCache().Stats().entries, 2u);
+  EXPECT_EQ(Bits(GroupLatencyTable(Group(6, 2, adjusted)).Phase1(3)),
+            Bits(Kernel(6, 2) / corrected));
+  EXPECT_EQ(Bits(GroupLatencyTable(Group(6, 2, base)).Phase1(3)),
+            Bits(Kernel(6, 2) / base->Rate(3.0)));
+  EXPECT_EQ(GlobalLatencyCache().Stats().entries, 1u);
+}
+
+// The scale-free kernel behind every allocator: Erlang(k, lambda) is
+// Erlang(k, 1) / lambda in distribution, so a table's phase-1 latency is
+// M(n, k) / lambda with M(n, k) = E[max of n Erlang(k, 1)].
+TEST(LatencyCacheScalingTest, TablePhase1IsTheKernelOverTheRateBitwise) {
+  GlobalLatencyCache().Clear();
+  for (const char* spec : {"linear 0.5 0.5", "quadratic 0.02 0.5", "log 2",
+                           "sigmoid 6 8 3",
+                           "table 1:0.5,3:0.5,5:1.5,9:1.5,12:3,20:3"}) {
+    const auto curve = ParseCurveSpec(spec);
+    ASSERT_TRUE(curve.ok());
+    for (const int n : {1, 3, 40}) {
+      for (const int k : {1, 2, 5}) {
+        const GroupLatencyTable table(Group(n, k, *curve));
+        const std::vector<double> flat = table.FlatPhase1(30);
+        for (int price = 1; price <= 30; ++price) {
+          const double expect = Kernel(n, k) / (*curve)->Rate(price);
+          EXPECT_EQ(Bits(table.Phase1(price)), Bits(expect))
+              << spec << " n=" << n << " k=" << k << " price=" << price;
+          EXPECT_EQ(Bits(flat[static_cast<size_t>(price)]), Bits(expect));
+        }
+      }
+    }
+  }
+}
+
+TEST(LatencyCacheScalingTest, SingleRepetitionKernelIsTheHarmonicNumber) {
+  for (const int n : {1, 2, 3, 10, 64, 65, 512, 10000}) {
+    long double harmonic = 0.0L;
+    for (int i = n; i >= 1; --i) {
+      harmonic += 1.0L / static_cast<long double>(i);
+    }
+    const double expect = static_cast<double>(harmonic);
+    EXPECT_NEAR(GlobalLatencyCache().UnitRatePhase1(Shape(n, 1)), expect,
+                1e-12 * expect)
+        << "n=" << n;
+  }
+}
+
+// The largest relative gap between M(n, k) / lambda and the at-rate
+// quadrature ExpectedMaxErlang(n, k, lambda): both integrate to an absolute
+// tolerance, so the gap is widest at the fastest rates, where the latency
+// itself is smallest.
+constexpr double kScalingTolerance = 1e-8;
+
+TEST(LatencyCacheScalingTest, KernelMatchesTheAtRateReference) {
+  for (const int n : {1, 2, 64, 512}) {
+    for (int k = 1; k <= 7; ++k) {
+      const double kernel = GlobalLatencyCache().UnitRatePhase1(Shape(n, k));
+      for (const double lambda : {1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3}) {
+        const double reference = ExpectedMaxErlang(n, k, lambda);
+        EXPECT_NEAR(kernel / lambda, reference,
+                    kScalingTolerance * reference)
+            << "n=" << n << " k=" << k << " lambda=" << lambda;
+      }
+    }
+  }
+}
+
+TEST(LatencyCacheScalingTest, KernelMatchesMonteCarloAtExtremeRates) {
+  constexpr int kTrials = 20000;
+  for (const double lambda : {1e-3, 1e3}) {
+    for (const auto& [n, k] : {std::pair{1, 4}, std::pair{8, 3},
+                               std::pair{64, 2}}) {
+      Random rng(static_cast<uint64_t>(n * 10 + k));
+      double sum = 0.0;
+      double sum_sq = 0.0;
+      for (int trial = 0; trial < kTrials; ++trial) {
+        double worst = 0.0;
+        for (int task = 0; task < n; ++task) {
+          worst = std::max(worst, rng.Erlang(k, lambda));
+        }
+        sum += worst;
+        sum_sq += worst * worst;
+      }
+      const double mean = sum / kTrials;
+      const double stderr_mean =
+          std::sqrt((sum_sq / kTrials - mean * mean) / kTrials);
+      const double kernel = GlobalLatencyCache().UnitRatePhase1(Shape(n, k));
+      EXPECT_NEAR(kernel / lambda, mean, 4.0 * stderr_mean)
+          << "n=" << n << " k=" << k << " lambda=" << lambda;
+    }
+  }
 }
 
 // A long-running server parses a fresh curve object for every job; serving

@@ -18,6 +18,12 @@ when tracked files differ from it. --baseline-bin runs a second microbench,
 typically the same target built from the parent commit, with the same
 filter, and stores its context and benchmarks under "baseline".
 
+The binaries run ROUNDS times each, interleaved (change then baseline,
+then baseline then change, and so on), and every benchmark reports the
+median real and CPU time over its rounds, with each round's real time under
+"real_time_runs". Host drift during a capture then moves both sides alike
+instead of landing on whichever binary ran second.
+
 --metrics folds an observability export (htune_cli --metrics=PATH, schema
 version 1; see src/obs/export.h) into the report under a "metrics" key:
 counters and gauges verbatim, histograms summarized, spans aggregated per
@@ -64,6 +70,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 
@@ -80,6 +87,9 @@ FILTER = (
 
 CONTEXT_KEYS = ("host_name", "num_cpus", "mhz_per_cpu", "build_type")
 
+# Runs of each binary per report; each benchmark keeps its median.
+ROUNDS = 9
+
 
 def checkout_commit():
     """This checkout's short HEAD, suffixed -dirty if tracked files differ."""
@@ -93,22 +103,28 @@ def checkout_commit():
     return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
-def distill(raw, commit):
-    """Keeps the iteration rows and the context of one microbench run."""
-    context = {key: raw.get("context", {}).get(key) for key in CONTEXT_KEYS}
+def distill(raws, commit):
+    """Keeps the first run's context and each benchmark's medians over runs."""
+    context = {key: raws[0].get("context", {}).get(key)
+               for key in CONTEXT_KEYS}
     context["commit"] = commit
-    benchmarks = [
-        {
-            "name": b["name"],
-            "real_time": b["real_time"],
-            "cpu_time": b["cpu_time"],
-            "time_unit": b["time_unit"],
-            "iterations": b["iterations"],
-            **({"groups": b["groups"]} if "groups" in b else {}),
-        }
-        for b in raw.get("benchmarks", [])
-        if b.get("run_type", "iteration") == "iteration"
-    ]
+    rows = {}
+    for raw in raws:
+        for b in raw.get("benchmarks", []):
+            if b.get("run_type", "iteration") == "iteration":
+                rows.setdefault(b["name"], []).append(b)
+    benchmarks = []
+    for name, runs in rows.items():
+        benchmarks.append({
+            "name": name,
+            "real_time": statistics.median([r["real_time"] for r in runs]),
+            "cpu_time": statistics.median([r["cpu_time"] for r in runs]),
+            "time_unit": runs[0]["time_unit"],
+            "iterations": int(
+                statistics.median([r["iterations"] for r in runs])),
+            "real_time_runs": [r["real_time"] for r in runs],
+            **({"groups": runs[0]["groups"]} if "groups" in runs[0] else {}),
+        })
     return {"context": context, "benchmarks": benchmarks}
 
 
@@ -127,6 +143,18 @@ def run_benchmarks(binary, min_time, extra_filter):
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"benchmark run failed: {' '.join(cmd)}")
     return json.loads(proc.stdout)
+
+
+def run_interleaved(binaries, rounds, min_time, extra_filter):
+    """Runs every binary `rounds` times, reversing the order each round."""
+    raws = [[] for _ in binaries]
+    order = list(range(len(binaries)))
+    for _ in range(rounds):
+        for i in order:
+            raws[i].append(run_benchmarks(binaries[i], min_time,
+                                          extra_filter))
+        order.reverse()
+    return raws
 
 
 def load_metrics(path):
@@ -763,14 +791,12 @@ def main():
         print(shared_digest(load_shared(args.shared)))
         return
 
-    raw = run_benchmarks(args.bin, args.min_time, args.extra_filter)
-    report = distill(raw, checkout_commit())
+    binaries = [args.bin] + ([args.baseline_bin] if args.baseline_bin else [])
+    raws = run_interleaved(binaries, ROUNDS, args.min_time, args.extra_filter)
+    report = distill(raws[0], checkout_commit())
     benchmarks = report["benchmarks"]
     if args.baseline_bin:
-        report["baseline"] = distill(
-            run_benchmarks(args.baseline_bin, args.min_time,
-                           args.extra_filter),
-            args.baseline_commit)
+        report["baseline"] = distill(raws[1], args.baseline_commit)
     if args.metrics:
         report["metrics"] = fold_metrics(load_metrics(args.metrics))
     with open(args.out, "w") as f:

@@ -9,7 +9,7 @@ observes the edge mu_ → other_, while two sibling scopes observe none.
 Functions annotated HTUNE_REQUIRES(mu) are walked with mu already held.
 
 Lock nodes are `Class::expr` (the owning class of the method, with
-`this->` and whitespace normalized away), so `shard.mu` inside
+`this->` and whitespace normalized away), so `mu_` inside
 LatencyKernelCache methods and `mu_` inside FleetSupervisor methods
 never alias.
 

@@ -30,7 +30,6 @@
 #include "control/fault_tolerant_executor.h"
 #include "control/market_metrics.h"
 #include "crowddb/executor.h"
-#include "model/latency_cache.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "durability/journal.h"
@@ -826,7 +825,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!metrics_path.empty()) {
-    htune::GlobalLatencyCache().PublishToMetrics();
     const htune::Status status = htune::obs::WriteGlobalMetrics(metrics_path);
     if (!status.ok()) {
       std::fprintf(stderr, "--metrics: %s\n", status.ToString().c_str());
