@@ -10,7 +10,8 @@
 namespace htune {
 
 /// Annotated wrappers over the std synchronization primitives. All locking
-/// in src/ goes through these types (tools/lint_htune.py enforces it):
+/// in src/ goes through these types (tools/htune_analyze's raw-mutex rule
+/// enforces it):
 /// they carry the Clang capability attributes, so a field declared
 /// HTUNE_GUARDED_BY(mu_) can only be touched while the analysis can prove
 /// mu_ is held. Method names keep the std lowercase spelling so the

@@ -12,8 +12,8 @@
 ///
 /// Only the annotated wrapper types in common/mutex.h carry the
 /// capability attributes, so the analysis only understands locks taken
-/// through them — which is why tools/lint_htune.py bans raw std::mutex
-/// outside that header.
+/// through them — which is why tools/htune_analyze's raw-mutex rule bans
+/// raw std::mutex outside that header.
 
 #if defined(__clang__)
 #define HTUNE_THREAD_ANNOTATION(x) __attribute__((x))

@@ -210,7 +210,7 @@ class SharedJobDriver {
 /// quarantine, and whole-fleet crash recovery through the manifest.
 ///
 /// Lifecycle state machine (durable, one kState record per edge, all edges
-/// written through Transition — the fleet-lifecycle lint rule):
+/// written through Transition — the analyzer's fleet-lifecycle rule):
 ///
 ///   kPending ----> kRunning ----> kDone
 ///      |  ^           |
@@ -278,7 +278,7 @@ class FleetSupervisor {
  private:
   struct Outcome;
 
-  /// The single mutation path for durable lifecycle state (lint rule
+  /// The single mutation path for durable lifecycle state (analyzer rule
   /// fleet-lifecycle): appends the kState record, updates gauges, and
   /// folds the change into the manifest view. A storage failure here is
   /// the fleet dying mid-transition; the caller must treat it as the kill.

@@ -32,7 +32,7 @@ inline bool IsTransient(const Status& status) {
 /// Bounded retry with exponential backoff and deterministic seeded jitter.
 ///
 /// Backoff is accounted in *simulated* seconds: the tuner's world has no
-/// wall clock (the determinism linter forbids one), so retries are
+/// wall clock (the analyzer's nondeterminism rule forbids one), so retries are
 /// instantaneous in simulation and the would-be delays are accumulated
 /// into the `resilience.retry_backoff_ticks_us` counter for inspection. A
 /// deployment gluing this onto a real platform sleeps for BackoffFor()

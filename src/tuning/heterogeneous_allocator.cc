@@ -87,12 +87,10 @@ std::vector<int> MinimizeMostDifficultAt(const TuningProblem& problem,
 }
 
 // The Utopia point: O1* from the exact separable DP, which minimizes the
-// same group sum, and O2* from the bottleneck greedy.
-StatusOr<ObjectivePoint> UtopiaAt(const TuningProblem& problem,
-                                  const GroupLatencies& latencies) {
-  const RepetitionAllocator exact(RepetitionAllocator::Mode::kExactDp);
-  HTUNE_ASSIGN_OR_RETURN(const std::vector<int> o1_prices,
-                         exact.SolvePrices(problem));
+// same group sum over the same arrays, and O2* from the bottleneck greedy.
+ObjectivePoint UtopiaAt(const TuningProblem& problem,
+                        const GroupLatencies& latencies) {
+  const std::vector<int> o1_prices = ExactDpPrices(problem, latencies.phase1);
   const double o1_star = ObjectivesAt(latencies, o1_prices).o1;
   const std::vector<int> o2_prices =
       MinimizeMostDifficultAt(problem, latencies);
@@ -150,8 +148,7 @@ StatusOr<std::vector<int>> HeterogeneousAllocator::SolvePrices(
     const TuningProblem& problem) const {
   HTUNE_RETURN_IF_ERROR(ValidateProblem(problem));
   const GroupLatencies latencies = ReachableLatencies(problem);
-  HTUNE_ASSIGN_OR_RETURN(const ObjectivePoint utopia,
-                         UtopiaAt(problem, latencies));
+  const ObjectivePoint utopia = UtopiaAt(problem, latencies);
 
   // Exact path: the closeness objective is not separable (O2 is a max), and
   // the unit-step DP below can stall on plateaus of measured (table)

@@ -127,18 +127,31 @@ std::vector<int> RepetitionAllocator::SolvePaperDp(
 
 std::vector<int> RepetitionAllocator::SolveExactDp(
     const TuningProblem& problem) const {
+  // Every price the knapsack loop can touch: budget / u_i for group i.
+  std::vector<std::vector<double>> phase1;
+  phase1.reserve(problem.groups.size());
+  for (const TaskGroup& g : problem.groups) {
+    phase1.push_back(GroupLatencyTable(g).FlatPhase1(
+        static_cast<int>(problem.budget / g.UnitCost())));
+  }
+  return ExactDpPrices(problem, phase1);
+}
+
+std::vector<int> ExactDpPrices(
+    const TuningProblem& problem,
+    const std::vector<std::vector<double>>& phase1) {
   const size_t n = problem.groups.size();
   const long budget = problem.budget;
+  HTUNE_CHECK_EQ(phase1.size(), n);
 
-  // Every price the knapsack loop can touch, hoisted flat so the
-  // O(n * B * p_max) inner loop below never leaves straight-line array code.
+  // The prices come hoisted flat, so the O(n * B * p_max) inner loop below
+  // never leaves straight-line array code.
   std::vector<long> unit_cost(n);
   std::vector<int> max_price(n);
-  std::vector<std::vector<double>> phase1(n);
   for (size_t i = 0; i < n; ++i) {
     unit_cost[i] = problem.groups[i].UnitCost();
     max_price[i] = static_cast<int>(budget / unit_cost[i]);
-    phase1[i] = GroupLatencyTable(problem.groups[i]).FlatPhase1(max_price[i]);
+    HTUNE_CHECK_GE(static_cast<long>(phase1[i].size()) - 1, max_price[i]);
   }
 
   constexpr double kInf = std::numeric_limits<double>::infinity();

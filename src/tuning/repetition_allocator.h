@@ -52,6 +52,14 @@ class RepetitionAllocator : public BudgetAllocator {
   Mode mode_;
 };
 
+/// The knapsack behind Mode::kExactDp, over phase-1 arrays the caller has
+/// already filled: phase1[i][p] is group i's expected phase-1 latency at
+/// uniform price p, for every p in 1..budget / u_i (slot 0 unused). Returns
+/// the prices minimizing the sum of phase1[i][p_i] within the budget. HA's
+/// Utopia point passes the arrays its own loops read.
+std::vector<int> ExactDpPrices(const TuningProblem& problem,
+                               const std::vector<std::vector<double>>& phase1);
+
 /// Expands uniform per-group prices into a full Allocation.
 Allocation UniformAllocation(const TuningProblem& problem,
                              const std::vector<int>& prices);

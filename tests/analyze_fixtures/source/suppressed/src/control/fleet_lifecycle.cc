@@ -1,5 +1,5 @@
-// Fixture: lifecycle mutations outside src/fleet/ (virtually
-// src/control/): a raw manifest append and a direct state assignment.
+// Fixture: the same mutations, allowed in analyze.toml for a migration
+// shim.
 void MarkJobDone(FleetManifest* manifest, ManifestJobEntry* entry) {
   manifest->AppendState(entry->job_id, FleetJobState::kDone, 0, 0, "");
   entry->state = FleetJobState::kDone;

@@ -1,11 +1,10 @@
-// Fixture: order-independent iteration with a justification.
+// Fixture: order-independent iteration, allowed in analyze.toml.
 #include <unordered_map>
 
 std::unordered_map<int, double> table_;
 
 double Sum() {
   double total = 0.0;
-  // htune-lint: allow(unordered-iter) commutative sum, order never escapes
   for (const auto& [key, value] : table_) {
     total += value;
   }

@@ -1,4 +1,4 @@
-// Fixture: obs macros in the (virtually src/market/) simulator.
+// Fixture: an obs macro in a market engine.
 void OnEvent() {
   HTUNE_OBS_COUNTER_ADD("market.events_dispatched", 1);
 }

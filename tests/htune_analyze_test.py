@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """Unit tests for tools/htune_analyze/, driven from ctest.
 
-Four layers:
+Five layers:
   * fixture triplets per check under tests/analyze_fixtures/
     (violating / suppressed / clean), run through the real CLI;
   * mutation tests against today's tree: delete a member reference from
     MarketSimulator's snapshot codec, append an unhandled TraceEventKind
-    enumerator, reverse a real lock pair — each must fail its check;
+    enumerator, reverse a real lock pair — each must fail its check —
+    and inject each source rule's violation into a copy of a real file
+    at its real path, where it must fire, and at an exempt path, where
+    it must not;
+  * the source rules' scoping, suppression and stripping on snippets;
   * the AST-dump cache contract: same inputs -> no re-dump, an edited
     header -> exactly the including TU re-dumps;
   * clang AST-JSON extraction on a hand-written mini dump.
@@ -32,18 +36,44 @@ import declparse  # noqa: E402
 import lock_check  # noqa: E402
 import schema_check  # noqa: E402
 import snapshot_check  # noqa: E402
+import source_check  # noqa: E402
 from model import FunctionDef, Model  # noqa: E402
 
 FIXTURES = os.path.join(REPO_ROOT, "tests", "analyze_fixtures")
 
 
-def run_cli(fixture, checks):
+def run_cli_at(root, checks):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(
             io.StringIO()):
-        rc = analyze.main(["--root", os.path.join(FIXTURES, fixture),
-                           "--checks", checks])
+        rc = analyze.main(["--root", root, "--checks", checks])
     return rc, out.getvalue()
+
+
+def run_cli(fixture, checks):
+    return run_cli_at(os.path.join(FIXTURES, fixture), checks)
+
+
+def source_findings(out):
+    """(file, line, rule) per finding line of a source-check run."""
+    findings = []
+    for line in out.splitlines():
+        location, _, rest = line.partition(": [source] ")
+        path, _, number = location.rpartition(":")
+        findings.append((path, int(number), rest.split(":", 1)[0]))
+    return findings
+
+
+def scan_text(text, path, allows=()):
+    """The source check over one in-memory file; returns (line, rule)."""
+    model = declparse.parse_text(text, path)
+    config = {"source": {"allow": list(allows)}}
+    return [(f.line, f.message.split(":", 1)[0])
+            for f in source_check.run(model, config)]
+
+
+def allow(path, rule, reason="fixture reason"):
+    return {"file": path, "rule": rule, "reason": reason}
 
 
 class FixtureTripletTest(unittest.TestCase):
@@ -101,6 +131,55 @@ class FixtureTripletTest(unittest.TestCase):
         rc, out = run_cli("schema/clean", "schema")
         self.assertEqual(rc, 0, out)
 
+    # (file in each source fixture tree, rule, findings when violating)
+    SOURCE_CASES = [
+        ("src/model/nondeterminism.cc", "nondeterminism", 5),
+        ("src/obs/unordered_iter.cc", "unordered-iter", 1),
+        ("src/market/market_obs.cc", "market-obs", 1),
+        ("src/platform/shared_market.cc", "market-obs", 1),
+        ("src/market/market_node_map.cc", "market-node-map", 3),
+        ("src/platform/shared_market.h", "market-node-map", 3),
+        ("src/tuning/raw_mutex.cc", "raw-mutex", 2),
+        ("src/control/raw_retry.cc", "raw-retry", 3),
+        ("src/control/fleet_lifecycle.cc", "fleet-lifecycle", 2),
+    ]
+
+    def test_source_violating(self):
+        rc, out = run_cli("source/violating", "source")
+        self.assertEqual(rc, 1, out)
+        findings = source_findings(out)
+        for path, rule, expected in self.SOURCE_CASES:
+            with self.subTest(path=path):
+                mine = [f for f in findings if f[0] == path]
+                self.assertEqual(len(mine), expected, out)
+                self.assertTrue(all(f[2] == rule for f in mine), out)
+        self.assertEqual(len(findings), 21, out)
+
+    def test_source_suppressed(self):
+        rc, out = run_cli("source/suppressed", "source")
+        self.assertEqual(rc, 0, out)
+        # Every [[source.allow]] entry is in use: without them, each
+        # fixture file reports its rule.
+        model = analyze.build_model(
+            os.path.join(FIXTURES, "source/suppressed"), None, None, False)
+        silenced = {(f.file, f.message.split(":", 1)[0])
+                    for f in source_check.run(model, {})}
+        self.assertEqual(
+            silenced, {(path, rule) for path, rule, _ in self.SOURCE_CASES})
+
+    def test_source_clean(self):
+        rc, out = run_cli("source/clean", "source")
+        self.assertEqual(rc, 0, out)
+
+    def test_source_skips_non_cpp_files(self):
+        root = tempfile.mkdtemp(prefix="htune-source-")
+        self.addCleanup(shutil.rmtree, root, ignore_errors=True)
+        os.makedirs(os.path.join(root, "src"))
+        with open(os.path.join(root, "src", "notes.md"), "w") as f:
+            f.write("std::mutex mu;\n")
+        rc, out = run_cli_at(root, "source")
+        self.assertEqual(rc, 0, out)
+
 
 class RealTreeMutationTest(unittest.TestCase):
     """The acceptance contract: each check catches its defect class when
@@ -116,7 +195,8 @@ class RealTreeMutationTest(unittest.TestCase):
     def test_baseline_is_clean(self):
         findings = (snapshot_check.run(self.model, self.config)
                     + lock_check.run(self.model, self.lock_order)
-                    + schema_check.run(self.model, self.config, REPO_ROOT))
+                    + schema_check.run(self.model, self.config, REPO_ROOT)
+                    + source_check.run(self.model, self.config))
         self.assertEqual([str(f) for f in findings], [])
 
     def test_dropped_simulator_codec_reference_fails(self):
@@ -168,6 +248,185 @@ class RealTreeMutationTest(unittest.TestCase):
             any("cycle" in m and "ThreadPool::impl_->mu" in m
                 and "ThreadPool::region->mu" in m for m in messages),
             messages)
+
+
+class SourceRuleMutationTest(unittest.TestCase):
+    """Each source rule, injected into a copy of a real file at its real
+    path, fires exactly once; at a path its scope exempts, it does not."""
+
+    def inject(self, rel, lines):
+        """Copies `rel` into a fresh root with `lines` appended, runs the
+        source check there, and returns (line of the last injected line,
+        findings)."""
+        root = tempfile.mkdtemp(prefix="htune-source-")
+        self.addCleanup(shutil.rmtree, root, ignore_errors=True)
+        with open(os.path.join(REPO_ROOT, rel), encoding="utf-8") as f:
+            text = f.read().rstrip("\n") + "\n"
+        dest = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(dest))
+        with open(dest, "w", encoding="utf-8") as f:
+            f.write(text + "\n".join(lines) + "\n")
+        _, out = run_cli_at(root, "source")
+        return text.count("\n") + len(lines), source_findings(out)
+
+    OBS = ['void InjectedTick() { HTUNE_OBS_COUNTER_ADD("x", 1); }']
+    NODE_MAP = ["std::map<uint64_t, double> injected_by_id;"]
+    NODE_MAP_INCLUDE = ["#include <map>"]
+    MUTEX = ["static std::mutex injected_mu;"]
+    SLEEP = ["void InjectedPause() { std::this_thread::sleep_for(kPause); }"]
+    LIFECYCLE = ["void InjectedDone(ManifestJobEntry& entry) {",
+                 "  entry.state = FleetJobState::kDone;"]
+
+    def test_each_rule_fires_at_its_real_path(self):
+        cases = [
+            ("src/model/latency_cache.cc",
+             ["static int injected_seed = rand();"], "nondeterminism"),
+            ("src/obs/export.cc",
+             ["std::unordered_map<int, int> injected_;",
+              "void InjectedDump() { for (const auto& kv : injected_) {} }"],
+             "unordered-iter"),
+            ("src/market/simulator.cc", self.OBS, "market-obs"),
+            ("src/platform/shared_market.cc", self.OBS, "market-obs"),
+            ("src/market/simulator.cc", self.NODE_MAP, "market-node-map"),
+            ("src/platform/shared_market.cc", self.NODE_MAP,
+             "market-node-map"),
+            ("src/market/simulator.cc", self.NODE_MAP_INCLUDE,
+             "market-node-map"),
+            ("src/platform/shared_market.h", self.NODE_MAP_INCLUDE,
+             "market-node-map"),
+            ("src/platform/service.cc", self.MUTEX, "raw-mutex"),
+            ("src/durability/journal.cc", self.SLEEP, "raw-retry"),
+            ("src/platform/service.cc", self.LIFECYCLE, "fleet-lifecycle"),
+        ]
+        for rel, lines, rule in cases:
+            with self.subTest(path=rel, rule=rule):
+                line, findings = self.inject(rel, lines)
+                self.assertEqual(findings, [(rel, line, rule)])
+
+    def test_exempt_paths_stay_silent(self):
+        cases = [
+            ("src/common/mutex.h", self.MUTEX),
+            ("src/resilience/policy.cc", self.SLEEP),
+            ("src/fleet/supervisor.cc", self.LIFECYCLE),
+            ("src/durability/manifest.cc", self.LIFECYCLE),
+        ]
+        for rel, lines in cases:
+            with self.subTest(path=rel):
+                _, findings = self.inject(rel, lines)
+                self.assertEqual(findings, [])
+
+
+class SourceRuleTest(unittest.TestCase):
+    """Scoping, suppression and stripping of the source rules."""
+
+    def test_rules_scoped_to_src(self):
+        text = "std::mutex mu;\nint x = rand();\n"
+        self.assertEqual(scan_text(text, "tests/foo.cc"), [])
+        self.assertEqual(sorted(scan_text(text, "src/foo.cc")),
+                         [(1, "raw-mutex"), (2, "nondeterminism")])
+
+    def test_market_obs_scoped_to_market_engines(self):
+        text = 'void F() { HTUNE_OBS_COUNTER_ADD("x", 1); }\n'
+        self.assertEqual(scan_text(text, "src/control/foo.cc"), [])
+        self.assertEqual(scan_text(text, "src/market/foo.cc"),
+                         [(1, "market-obs")])
+
+    def test_node_map_scoped_to_market_engines(self):
+        text = "std::map<int, int> by_id;\n"
+        self.assertEqual(scan_text(text, "src/control/foo.cc"), [])
+        self.assertEqual(scan_text(text, "src/platform/service.cc"), [])
+        self.assertEqual(scan_text(text, "src/market/foo.cc"),
+                         [(1, "market-node-map")])
+
+    def test_node_map_include_seen_through_blanked_directive(self):
+        text = "#include <vector>\n#include <map>  // cold path\n"
+        self.assertEqual(scan_text(text, "src/market/foo.cc"),
+                         [(2, "market-node-map")])
+
+    def test_mutex_header_exempt_from_raw_mutex(self):
+        self.assertEqual(scan_text("std::mutex mu_;\n", "src/common/mutex.h"),
+                         [])
+
+    def test_resilience_exempt_from_raw_retry(self):
+        text = "for (int attempt = 1; attempt <= max; ++attempt) {\n"
+        self.assertEqual(scan_text(text, "src/resilience/policy.h"), [])
+        self.assertEqual(scan_text(text, "src/durability/journal.cc"),
+                         [(1, "raw-retry")])
+
+    def test_fleet_lifecycle_scoped(self):
+        text = "entry.state = FleetJobState::kDone;\n"
+        self.assertEqual(scan_text(text, "src/fleet/supervisor.cc"), [])
+        self.assertEqual(scan_text(text, "src/durability/manifest.cc"), [])
+        self.assertEqual(scan_text(text, "src/control/foo.cc"),
+                         [(1, "fleet-lifecycle")])
+        comparison = "if (entry.state == FleetJobState::kDone) return;\n"
+        self.assertEqual(scan_text(comparison, "src/control/foo.cc"), [])
+
+    def test_allow_silences_its_rule_in_its_file(self):
+        text = "std::mutex a;\nstd::mutex b;\n"
+        self.assertEqual(
+            scan_text(text, "src/foo.cc", [allow("src/foo.cc", "raw-mutex")]),
+            [])
+        self.assertEqual(
+            scan_text(text, "src/foo.cc", [allow("src/bar.cc", "raw-mutex")]),
+            [(1, "raw-mutex"), (2, "raw-mutex"),
+             (0, "stale-suppression")])
+
+    def test_wrong_rule_allow_does_not_silence(self):
+        findings = scan_text("std::mutex mu;\n", "src/foo.cc",
+                             [allow("src/foo.cc", "nondeterminism")])
+        self.assertEqual(sorted(findings),
+                         [(0, "stale-suppression"), (1, "raw-mutex")])
+
+    def test_unused_allow_is_stale(self):
+        model = declparse.parse_text("int x;\n", "src/foo.cc")
+        findings = source_check.run(
+            model, {"source": {"allow": [allow("src/foo.cc", "raw-mutex")]}})
+        self.assertEqual([(f.file, f.line) for f in findings],
+                         [("analyze.toml", 0)])
+        self.assertIn("stale-suppression", findings[0].message)
+        self.assertIn("no longer suppresses", findings[0].message)
+
+    def test_unknown_rule_allow_is_stale(self):
+        model = declparse.parse_text("int x;\n", "src/foo.cc")
+        findings = source_check.run(
+            model, {"source": {"allow": [allow("src/foo.cc", "bogus")]}})
+        self.assertEqual(len(findings), 1)
+        self.assertIn("unknown rule", findings[0].message)
+
+    def test_allow_without_reason_is_stale(self):
+        model = declparse.parse_text("std::mutex mu;\n", "src/foo.cc")
+        findings = source_check.run(
+            model, {"source": {"allow": [
+                {"file": "src/foo.cc", "rule": "raw-mutex"}]}})
+        self.assertEqual(len(findings), 1)
+        self.assertIn("gives no reason", findings[0].message)
+
+    def test_used_allows_are_not_stale(self):
+        text = "std::mutex mu;\nlong t = time(0);\n"
+        self.assertEqual(
+            scan_text(text, "src/foo.cc",
+                      [allow("src/foo.cc", "raw-mutex"),
+                       allow("src/foo.cc", "nondeterminism")]),
+            [])
+
+    def test_stale_suppression_is_not_itself_suppressible(self):
+        findings = scan_text("int x;\n", "src/foo.cc",
+                             [allow("src/foo.cc", "stale-suppression"),
+                              allow("src/foo.cc", "raw-mutex")])
+        self.assertEqual(findings,
+                         [(0, "stale-suppression"), (0, "stale-suppression")])
+
+    def test_comments_and_strings_ignored(self):
+        text = ('// std::mutex in a line comment\n'
+                '/* std::random_device in a block\n'
+                '   comment spanning lines */\n'
+                'const char* s = "std::mutex rand() time()";\n')
+        self.assertEqual(scan_text(text, "src/foo.cc"), [])
+
+    def test_identifier_suffix_not_matched(self):
+        text = "double some_time() { return uptime(); }\n"
+        self.assertEqual(scan_text(text, "src/foo.cc"), [])
 
 
 class AstCacheTest(unittest.TestCase):

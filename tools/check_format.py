@@ -62,8 +62,9 @@ def main(argv=None):
                  for rel in git_changed_files(args.base)
                  if rel.endswith(CXX_EXTENSIONS)
                  and rel.startswith(CHECKED_DIRS)
-                 # Linter fixtures stay byte-exact on purpose.
-                 and not rel.startswith("tests/lint_fixtures/")]
+                 # Analyzer fixtures stay byte-exact: tests pin their
+                 # line numbers.
+                 and not rel.startswith("tests/analyze_fixtures/")]
         files = [f for f in files if os.path.exists(f)]
     if not files:
         print("check_format: no files to check")

@@ -6,8 +6,9 @@ Usage:
       [--config FILE] [--lock-order FILE]
       [--compile-db build/compile_commands.json] [--cache-dir DIR]
 
-Checks: snapshot, lock, schema (default: all three). Exit status is 0
-when the tree is clean, 1 when there are findings, 2 on usage errors.
+Checks: snapshot, lock, schema, source (default: all four). Exit status
+is 0 when the tree is clean, 1 when there are findings, 2 on usage
+errors.
 
 The declaration model always comes from the tolerant in-repo parser
 over src/ and tools/ (or the whole --root for fixture trees); when
@@ -32,8 +33,10 @@ import declparse
 import lock_check
 import schema_check
 import snapshot_check
+import source_check
 from model import Model
 
+CHECKS = ("snapshot", "lock", "schema", "source")
 CPP_EXTENSIONS = (".h", ".cc")
 SKIP_DIR_NAMES = {".git", "__pycache__", "analyze_fixtures",
                   "third_party", "htune_analyze"}
@@ -89,7 +92,7 @@ def main(argv=None) -> int:
         prog="htune-analyze", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--root", default=".")
-    parser.add_argument("--checks", default="snapshot,lock,schema")
+    parser.add_argument("--checks", default=",".join(CHECKS))
     parser.add_argument("--config", default=None)
     parser.add_argument("--lock-order", default=None)
     parser.add_argument("--compile-db", default=None)
@@ -99,7 +102,7 @@ def main(argv=None) -> int:
 
     root = os.path.abspath(args.root)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    unknown = [c for c in checks if c not in ("snapshot", "lock", "schema")]
+    unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         print(f"unknown check(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
@@ -119,6 +122,8 @@ def main(argv=None) -> int:
         findings.extend(lock_check.run(model, lock_order))
     if "schema" in checks:
         findings.extend(schema_check.run(model, config, root))
+    if "source" in checks:
+        findings.extend(source_check.run(model, config))
 
     findings.sort(key=lambda f: (f.file, f.line, f.check, f.message))
     for finding in findings:

@@ -11,7 +11,9 @@ pins). It extracts, per file:
   * enums with enumerator names and values;
   * function definitions (free, out-of-line methods, and inline methods)
     with parameter text, HTUNE_REQUIRES(...) annotations, and the
-    comment-stripped body text.
+    comment-stripped body text;
+  * the whole file's comment-stripped text and its #include targets,
+    which the schema and source checks read.
 
 Unknown constructs are skipped, never fatal: when clang is available the
 AST dump refines this model (astdump.py); when it is not, this parser is
@@ -23,7 +25,8 @@ from __future__ import annotations
 import re
 from typing import List, Optional, Tuple
 
-from model import ClassDecl, EnumDecl, FunctionDef, Member, Model, word_re
+from model import (ClassDecl, EnumDecl, FunctionDef, Member, Model,
+                   SourceFile, word_re)
 
 TRANSIENT_RE = re.compile(r"HTUNE_TRANSIENT:\s*(.*?)\s*(?:\*/.*)?$")
 ACCESS_RE = re.compile(r"(?<!:)\b(public|private|protected)\s*:(?!:)")
@@ -32,6 +35,7 @@ CLASS_HEAD_RE = re.compile(
     r"([A-Za-z_]\w*(?:::\w+)*)\s*(?:final\s*)?(?::[^:].*)?$", re.S)
 ENUM_HEAD_RE = re.compile(
     r"\benum\s+(?:class\s+|struct\s+)?([A-Za-z_]\w*)\s*(?::\s*[\w:]+\s*)?$")
+INCLUDE_RE = re.compile(r'#\s*include\s*([<"][^>"]*[>"])')
 REQUIRES_RE = re.compile(r"\bHTUNE_REQUIRES\s*\(([^()]*)\)")
 ANNOTATION_RE = re.compile(r"\bHTUNE_[A-Z_]+\s*(?:\([^()]*\))?")
 CONTROL_KEYWORDS = {"if", "for", "while", "switch", "catch", "return",
@@ -44,10 +48,12 @@ RESERVED = {"const", "constexpr", "mutable", "volatile", "struct", "class",
             "override", "final", "noexcept", "true", "false", "nullptr"}
 
 
-def strip_comments_and_strings(text: str) -> str:
+def strip_comments_and_strings(
+        text: str, includes: List[Tuple[int, str]]) -> str:
     """Replaces comments, string/char literals, and preprocessor
     directives with spaces, keeping every newline so offsets map to the
-    same line numbers."""
+    same line numbers. Appends (line, target) to `includes` for each
+    #include directive blanked."""
     out = []
     i, n = 0, len(text)
     at_line_start = True
@@ -66,6 +72,9 @@ def strip_comments_and_strings(text: str) -> str:
                 j = end
                 break
             chunk = text[i:j]
+            include = INCLUDE_RE.match(chunk)
+            if include:
+                includes.append((_line_of(text, i), include.group(1)))
             out.append("".join(ch if ch == "\n" else " " for ch in chunk))
             i = j
             continue
@@ -260,7 +269,9 @@ class _Scope:
 def parse_text(text: str, path: str) -> Model:
     model = Model()
     raw_lines = text.split("\n")
-    stripped = strip_comments_and_strings(text)
+    includes: List[Tuple[int, str]] = []
+    stripped = strip_comments_and_strings(text, includes)
+    model.sources[path] = SourceFile(stripped, includes)
     scopes: List[_Scope] = []
     i = 0
     head_start = 0

@@ -10,6 +10,8 @@ parser) produce the same shapes, so every check is frontend-agnostic:
   FunctionDef  — one function *definition*: qualified name, parameter
                  text, and the comment-stripped body text (braces kept,
                  so lock_check can walk scopes).
+  SourceFile   — one parsed file's comment-stripped text and its
+                 `#include` targets (the stripper blanks directives).
 
 Qualified names never include namespaces (the tree is one `htune`
 namespace; anonymous namespaces are transparent); class nesting is kept:
@@ -87,6 +89,16 @@ class FunctionDef:
     body_start_line: int = 0
 
 
+@dataclasses.dataclass
+class SourceFile:
+    # Comments, string/char literals and preprocessor directives blanked;
+    # every newline kept, so line N of the text is line N of the file.
+    stripped: str
+    # (line, target) per #include, the target spelled with its delimiters:
+    # <map> or "common/mutex.h".
+    includes: List[Tuple[int, str]]
+
+
 class Model:
     """Whole-tree declaration index. Classes and enums are keyed by
     qualified name (first declaration wins, later ones merge members and
@@ -99,6 +111,8 @@ class Model:
         self.classes: Dict[str, ClassDecl] = {}
         self.enums: Dict[str, EnumDecl] = {}
         self.functions: Dict[str, List[FunctionDef]] = {}
+        # Keyed by root-relative path; only declparse fills it.
+        self.sources: Dict[str, SourceFile] = {}
 
     def add_class(self, decl: ClassDecl) -> None:
         existing = self.classes.get(decl.name)
@@ -153,6 +167,7 @@ class Model:
         for fns in other.functions.values():
             for fn in fns:
                 self.add_function(fn)
+        self.sources.update(other.sources)
 
 
 @dataclasses.dataclass

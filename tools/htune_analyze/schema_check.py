@@ -31,34 +31,24 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-import declparse
 from model import EnumDecl, Finding, Model, word_re
 
-_FILE_CACHE: Dict[str, str] = {}
 
-
-def _read(root: str, rel: str, stripped: bool) -> Optional[str]:
-    key = f"{'s' if stripped else 'r'}:{rel}"
-    if key not in _FILE_CACHE:
-        path = os.path.join(root, rel)
-        if not os.path.isfile(path):
-            _FILE_CACHE[key] = None
-        else:
-            with open(path, encoding="utf-8", errors="replace") as handle:
-                text = handle.read()
-            if stripped:
-                text = declparse.strip_comments_and_strings(text)
-            _FILE_CACHE[key] = text
-    return _FILE_CACHE[key]
+def _read_raw(root: str, rel: str) -> Optional[str]:
+    path = os.path.join(root, rel)
+    if not os.path.isfile(path):
+        return None
+    with open(path, encoding="utf-8", errors="replace") as handle:
+        return handle.read()
 
 
 def _surface_loc(surface: dict) -> str:
     return surface.get("file", "analyze.toml")
 
 
-def _cpp_scope(model: Model, root: str, surface: dict) -> Optional[str]:
+def _cpp_scope(model: Model, surface: dict) -> Optional[str]:
     """Search text for a cpp surface: a named function's bodies
     (restricted to `file` when given) or a whole stripped file."""
     function = surface.get("function")
@@ -70,14 +60,14 @@ def _cpp_scope(model: Model, root: str, surface: dict) -> Optional[str]:
         if not fns:
             return None
         return "\n".join(fn.body for fn in fns)
-    if file:
-        return _read(root, file, stripped=True)
+    if file and file in model.sources:
+        return model.sources[file].stripped
     return None
 
 
-def _check_cpp_name(model: Model, root: str, enum: EnumDecl,
+def _check_cpp_name(model: Model, enum: EnumDecl,
                     ignore: set, surface: dict) -> List[Finding]:
-    scope = _cpp_scope(model, root, surface)
+    scope = _cpp_scope(model, surface)
     where = surface.get("function") or surface.get("file", "?")
     if scope is None:
         return [Finding("schema", _surface_loc(surface), 0,
@@ -93,9 +83,9 @@ def _check_cpp_name(model: Model, root: str, enum: EnumDecl,
     return findings
 
 
-def _check_cpp_max(model: Model, root: str, enum: EnumDecl,
+def _check_cpp_max(model: Model, enum: EnumDecl,
                    ignore: set, surface: dict) -> List[Finding]:
-    scope = _cpp_scope(model, root, surface)
+    scope = _cpp_scope(model, surface)
     where = surface.get("function") or surface.get("file", "?")
     if scope is None:
         return [Finding("schema", _surface_loc(surface), 0,
@@ -128,7 +118,7 @@ def _check_stringset(model: Model, root: str, spec: dict) -> List[Finding]:
     for surface in spec.get("surface", []):
         file = surface.get("file", "?")
         # Dispatch literals live inside string constants, so search raw.
-        text = _read(root, file, stripped=False)
+        text = _read_raw(root, file)
         if text is None:
             findings.append(Finding(
                 "schema", file, 0, f"surface for {name} not found: {file}"))
@@ -154,7 +144,6 @@ def _check_stringset(model: Model, root: str, spec: dict) -> List[Finding]:
 
 
 def run(model: Model, config: dict, root: str) -> List[Finding]:
-    _FILE_CACHE.clear()
     schema_cfg = config.get("schema", {})
     findings = []
     for spec in schema_cfg.get("enum", []):
@@ -180,7 +169,7 @@ def run(model: Model, config: dict, root: str) -> List[Finding]:
                     "schema", "analyze.toml", 0,
                     f"unknown surface kind '{kind}' for enum {name}"))
                 continue
-            findings.extend(checker(model, root, enum, ignore, surface))
+            findings.extend(checker(model, enum, ignore, surface))
     for spec in schema_cfg.get("stringset", []):
         findings.extend(_check_stringset(model, root, spec))
     return findings
